@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -21,6 +22,7 @@
 
 namespace fblas::core {
 
+using stream::burst_len;
 using stream::Channel;
 using stream::next_cycle;
 using stream::Task;
@@ -39,10 +41,23 @@ template <typename T>
 Task scal(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
           Channel<T>& ch_out) {
   cfg.validate();
+  std::vector<T> xs(static_cast<std::size_t>(cfg.width));
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      co_await ch_out.push(alpha * co_await ch_x.pop());
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t k =
+          ch_out.push_may_throw()
+              ? 0
+              : burst_len(batch - i, {ch_x.size(), ch_out.room()});
+      if (k == 0) {
+        co_await ch_out.push(alpha * co_await ch_x.pop());
+        ++i;
+        continue;
+      }
+      ch_x.try_take_n(xs.data(), k);
+      for (std::size_t e = 0; e < k; ++e) xs[e] = alpha * xs[e];
+      ch_out.try_put_n(xs.data(), k);
+      i += static_cast<std::int64_t>(k);
     }
     it += batch;
     co_await next_cycle();
@@ -69,12 +84,28 @@ template <typename T>
 Task axpy(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
           Channel<T>& ch_y, Channel<T>& ch_out) {
   cfg.validate();
+  FBLAS_REQUIRE(&ch_x != &ch_y, "axpy needs distinct x and y channels");
+  std::vector<T> xs(static_cast<std::size_t>(cfg.width)), ys(xs.size());
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const T x = co_await ch_x.pop();
-      const T y = co_await ch_y.pop();
-      co_await ch_out.push(alpha * x + y);
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t k =
+          ch_out.push_may_throw()
+              ? 0
+              : burst_len(batch - i,
+                          {ch_x.size(), ch_y.size(), ch_out.room()});
+      if (k == 0) {
+        const T x = co_await ch_x.pop();
+        const T y = co_await ch_y.pop();
+        co_await ch_out.push(alpha * x + y);
+        ++i;
+        continue;
+      }
+      ch_x.try_take_n(xs.data(), k);
+      ch_y.try_take_n(ys.data(), k);
+      for (std::size_t e = 0; e < k; ++e) xs[e] = alpha * xs[e] + ys[e];
+      ch_out.try_put_n(xs.data(), k);
+      i += static_cast<std::int64_t>(k);
     }
     it += batch;
     co_await next_cycle();
@@ -188,12 +219,26 @@ template <typename T>
 Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
          Channel<T>& ch_res) {
   cfg.validate();
+  FBLAS_REQUIRE(&ch_x != &ch_y, "dot needs distinct x and y channels");
+  std::vector<T> xs(static_cast<std::size_t>(cfg.width)), ys(xs.size());
   T res = T(0);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
     T acc = T(0);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      acc += co_await ch_x.pop() * co_await ch_y.pop();
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t k = burst_len(batch - i, {ch_x.size(), ch_y.size()});
+      if (k == 0) {
+        // One expression on purpose: its two awaits are unsequenced, and
+        // GCC waits for both operands before popping either — the
+        // schedule this module has always had.
+        acc += co_await ch_x.pop() * co_await ch_y.pop();
+        ++i;
+        continue;
+      }
+      ch_x.try_take_n(xs.data(), k);
+      ch_y.try_take_n(ys.data(), k);
+      for (std::size_t e = 0; e < k; ++e) acc += xs[e] * ys[e];
+      i += static_cast<std::int64_t>(k);
     }
     res += acc;
     it += batch;

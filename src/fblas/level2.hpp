@@ -79,108 +79,146 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
   const int W = cfg.width;
-  // Element traversal within a tile (row- or column-major): the loops
-  // below iterate (outer, inner) and map to (r, c) through these lambdas.
+  const bool trans = cfg.trans == Transpose::Trans;
+  // Element traversal within a tile: the loops below iterate (outer o,
+  // inner i), which is (row, col) for row-major elements and (col, row)
+  // otherwise.
   const bool row_elems = cfg.elem_order == Order::RowMajor;
-  auto row_of = [row_elems](std::int64_t o, std::int64_t i) {
-    return row_elems ? o : i;
-  };
-  auto col_of = [row_elems](std::int64_t o, std::int64_t i) {
-    return row_elems ? i : o;
-  };
   std::vector<T> xbuf, acc;
+  // A arrives in bursts of up to W elements (pop_n never crosses a cycle
+  // or a tile line, so it is element-exact); x, y and the result move as
+  // whole bursts too.
+  std::vector<T> abuf(static_cast<std::size_t>(W));
+  // The multiply-accumulate of k A-elements at tile position (o, i..):
+  // the partial sums are indexed by row (by column when transposed) and x
+  // by the other coordinate, so one of them stays fixed along the burst.
+  // Alpha is applied first where the partial sums are full-length
+  // (`scaled`). Every sum takes its terms in the per-element order.
+  const bool dst_on_outer = row_elems != trans;
+  auto mac = [&](T* dst, bool scaled, std::int64_t o, std::int64_t i,
+                 std::size_t k) {
+    if (scaled) {
+      for (std::size_t e = 0; e < k; ++e) abuf[e] = alpha * abuf[e];
+    }
+    if (dst_on_outer) {
+      T s = dst[o];
+      for (std::size_t e = 0; e < k; ++e) s += abuf[e] * xbuf[i + e];
+      dst[o] = s;
+    } else {
+      const T xo = xbuf[o];
+      for (std::size_t e = 0; e < k; ++e) dst[i + e] += abuf[e] * xo;
+    }
+  };
 
-  if (cfg.trans == Transpose::None && cfg.tiling == MatrixTiling::TilesByRows) {
+  if (!trans && cfg.tiling == MatrixTiling::TilesByRows) {
     // Fig. 2 (left): reuse over y; x replayed once per tile-row.
     xbuf.resize(static_cast<std::size_t>(TM));
     acc.resize(static_cast<std::size_t>(TN));
     std::vector<T> ybuf(static_cast<std::size_t>(TN));
     for (std::int64_t ti = 0; ti < nti; ++ti) {
       const std::int64_t th = std::min(TN, rows - ti * TN);
+      for (std::int64_t r = 0; r < th;) {
+        r += co_await ch_y.pop_n(ybuf.data() + r, th - r);
+      }
       for (std::int64_t r = 0; r < th; ++r) {
-        ybuf[r] = beta * co_await ch_y.pop();
+        ybuf[r] = beta * ybuf[r];
         acc[r] = T(0);
       }
       for (std::int64_t tj = 0; tj < ntj; ++tj) {
         const std::int64_t tw = std::min(TM, cols - tj * TM);
-        for (std::int64_t c = 0; c < tw; ++c) xbuf[c] = co_await ch_x.pop();
+        for (std::int64_t c = 0; c < tw;) {
+          c += co_await ch_x.pop_n(xbuf.data() + c, tw - c);
+        }
         int in_cycle = 0;
         const std::int64_t no = row_elems ? th : tw;
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            acc[row_of(o, i)] += co_await ch_a.pop() * xbuf[col_of(o, i)];
-            if (++in_cycle == W) {
+          for (std::int64_t i = 0; i < ni;) {
+            const std::size_t k = co_await ch_a.pop_n(
+                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            mac(acc.data(), false, o, i, k);
+            i += static_cast<std::int64_t>(k);
+            if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
               co_await next_cycle();
             }
           }
         }
       }
-      for (std::int64_t r = 0; r < th; ++r) {
-        co_await ch_out.push(ybuf[r] + alpha * acc[r]);
+      for (std::int64_t r = 0; r < th; ++r) ybuf[r] += alpha * acc[r];
+      for (std::int64_t r = 0; r < th;) {
+        r += co_await ch_out.push_n(ybuf.data() + r, th - r);
       }
       co_await next_cycle();
     }
-  } else if (cfg.trans == Transpose::None &&
-             cfg.tiling == MatrixTiling::TilesByCols) {
+  } else if (!trans) {
     // Fig. 2 (right): x read once; y (partial results) replayed. The
     // full-length partial buffer models the DRAM round trip.
     xbuf.resize(static_cast<std::size_t>(TM));
     std::vector<T> part(static_cast<std::size_t>(rows), T(0));
     for (std::int64_t tj = 0; tj < ntj; ++tj) {
       const std::int64_t tw = std::min(TM, cols - tj * TM);
-      for (std::int64_t c = 0; c < tw; ++c) xbuf[c] = co_await ch_x.pop();
+      for (std::int64_t c = 0; c < tw;) {
+        c += co_await ch_x.pop_n(xbuf.data() + c, tw - c);
+      }
       for (std::int64_t ti = 0; ti < nti; ++ti) {
         const std::int64_t th = std::min(TN, rows - ti * TN);
+        T* const block = part.data() + ti * TN;
         if (tj == 0) {
-          for (std::int64_t r = 0; r < th; ++r) {
-            part[ti * TN + r] = beta * co_await ch_y.pop();
+          for (std::int64_t r = 0; r < th;) {
+            r += co_await ch_y.pop_n(block + r, th - r);
           }
+          for (std::int64_t r = 0; r < th; ++r) block[r] = beta * block[r];
         }
         int in_cycle = 0;
         const std::int64_t no = row_elems ? th : tw;
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            part[ti * TN + row_of(o, i)] +=
-                alpha * co_await ch_a.pop() * xbuf[col_of(o, i)];
-            if (++in_cycle == W) {
+          for (std::int64_t i = 0; i < ni;) {
+            const std::size_t k = co_await ch_a.pop_n(
+                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            mac(block, true, o, i, k);
+            i += static_cast<std::int64_t>(k);
+            if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
               co_await next_cycle();
             }
           }
         }
         if (tj == ntj - 1) {
-          for (std::int64_t r = 0; r < th; ++r) {
-            co_await ch_out.push(part[ti * TN + r]);
+          for (std::int64_t r = 0; r < th;) {
+            r += co_await ch_out.push_n(block + r, th - r);
           }
         }
       }
       co_await next_cycle();
     }
-  } else if (cfg.trans == Transpose::Trans &&
-             cfg.tiling == MatrixTiling::TilesByRows) {
+  } else if (cfg.tiling == MatrixTiling::TilesByRows) {
     // y = alpha A^T x + beta y with A in tiles by rows: x (length rows)
     // read once, block per tile-row; y partials buffered full-length.
     xbuf.resize(static_cast<std::size_t>(TN));
     std::vector<T> part(static_cast<std::size_t>(cols));
-    for (std::int64_t c = 0; c < cols; ++c) {
-      part[c] = beta * co_await ch_y.pop();
+    for (std::int64_t c = 0; c < cols;) {
+      c += co_await ch_y.pop_n(part.data() + c, cols - c);
     }
+    for (std::int64_t c = 0; c < cols; ++c) part[c] = beta * part[c];
     for (std::int64_t ti = 0; ti < nti; ++ti) {
       const std::int64_t th = std::min(TN, rows - ti * TN);
-      for (std::int64_t r = 0; r < th; ++r) xbuf[r] = co_await ch_x.pop();
+      for (std::int64_t r = 0; r < th;) {
+        r += co_await ch_x.pop_n(xbuf.data() + r, th - r);
+      }
       for (std::int64_t tj = 0; tj < ntj; ++tj) {
         const std::int64_t tw = std::min(TM, cols - tj * TM);
         int in_cycle = 0;
         const std::int64_t no = row_elems ? th : tw;
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            part[tj * TM + col_of(o, i)] +=
-                alpha * co_await ch_a.pop() * xbuf[row_of(o, i)];
-            if (++in_cycle == W) {
+          for (std::int64_t i = 0; i < ni;) {
+            const std::size_t k = co_await ch_a.pop_n(
+                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            mac(part.data() + tj * TM, true, o, i, k);
+            i += static_cast<std::int64_t>(k);
+            if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
               co_await next_cycle();
             }
@@ -188,7 +226,9 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         }
       }
     }
-    for (std::int64_t c = 0; c < cols; ++c) co_await ch_out.push(part[c]);
+    for (std::int64_t c = 0; c < cols;) {
+      c += co_await ch_out.push_n(part.data() + c, cols - c);
+    }
     co_await next_cycle();
   } else {
     // trans, tiles by columns: reuse over y blocks; x replayed per
@@ -198,28 +238,37 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     std::vector<T> ybuf(static_cast<std::size_t>(TM));
     for (std::int64_t tj = 0; tj < ntj; ++tj) {
       const std::int64_t tw = std::min(TM, cols - tj * TM);
+      for (std::int64_t c = 0; c < tw;) {
+        c += co_await ch_y.pop_n(ybuf.data() + c, tw - c);
+      }
       for (std::int64_t c = 0; c < tw; ++c) {
-        ybuf[c] = beta * co_await ch_y.pop();
+        ybuf[c] = beta * ybuf[c];
         acc[c] = T(0);
       }
       for (std::int64_t ti = 0; ti < nti; ++ti) {
         const std::int64_t th = std::min(TN, rows - ti * TN);
-        for (std::int64_t r = 0; r < th; ++r) xbuf[r] = co_await ch_x.pop();
+        for (std::int64_t r = 0; r < th;) {
+          r += co_await ch_x.pop_n(xbuf.data() + r, th - r);
+        }
         int in_cycle = 0;
         const std::int64_t no = row_elems ? th : tw;
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            acc[col_of(o, i)] += co_await ch_a.pop() * xbuf[row_of(o, i)];
-            if (++in_cycle == W) {
+          for (std::int64_t i = 0; i < ni;) {
+            const std::size_t k = co_await ch_a.pop_n(
+                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            mac(acc.data(), false, o, i, k);
+            i += static_cast<std::int64_t>(k);
+            if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
               co_await next_cycle();
             }
           }
         }
       }
-      for (std::int64_t c = 0; c < tw; ++c) {
-        co_await ch_out.push(ybuf[c] + alpha * acc[c]);
+      for (std::int64_t c = 0; c < tw; ++c) ybuf[c] += alpha * acc[c];
+      for (std::int64_t c = 0; c < tw;) {
+        c += co_await ch_out.push_n(ybuf.data() + c, tw - c);
       }
       co_await next_cycle();
     }

@@ -123,6 +123,7 @@ class Scheduler {
     taint_ = Taint{};
   }
   bool taint_enabled() const { return taint_enabled_; }
+  bool taint_trap() const { return taint_enabled_ && taint_trap_; }
   const Taint& taint() const { return taint_; }
   /// Records (and in trap mode, throws on) a non-finite value entering
   /// `ch`. Called by Channel<T>::try_put for floating-point payloads.

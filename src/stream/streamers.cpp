@@ -18,53 +18,18 @@ void TileWalker::reset() {
   done_ = rows_ == 0 || cols_ == 0;
 }
 
-bool TileWalker::next(std::int64_t& row, std::int64_t& col) {
-  if (done_) return false;
-  // Extent of the current (clamped) tile.
-  const std::int64_t h = std::min(s_.tile_rows, rows_ - ti_ * s_.tile_rows);
-  const std::int64_t w = std::min(s_.tile_cols, cols_ - tj_ * s_.tile_cols);
-  row = ti_ * s_.tile_rows + ei_;
-  col = tj_ * s_.tile_cols + ej_;
-  // Advance the element cursor within the tile.
-  if (s_.elem_order == Order::RowMajor) {
-    if (++ej_ == w) {
-      ej_ = 0;
-      if (++ei_ == h) ei_ = 0;
-    }
-    if (ei_ == 0 && ej_ == 0) {
-      // Tile finished: advance the tile cursor.
-      if (s_.tile_order == Order::RowMajor) {
-        if (++tj_ == n_tcol_) {
-          tj_ = 0;
-          if (++ti_ == n_trow_) done_ = true;
-        }
-      } else {
-        if (++ti_ == n_trow_) {
-          ti_ = 0;
-          if (++tj_ == n_tcol_) done_ = true;
-        }
-      }
+void TileWalker::next_tile() {
+  if (s_.tile_order == Order::RowMajor) {
+    if (++tj_ == n_tcol_) {
+      tj_ = 0;
+      if (++ti_ == n_trow_) done_ = true;
     }
   } else {
-    if (++ei_ == h) {
-      ei_ = 0;
-      if (++ej_ == w) ej_ = 0;
-    }
-    if (ei_ == 0 && ej_ == 0) {
-      if (s_.tile_order == Order::RowMajor) {
-        if (++tj_ == n_tcol_) {
-          tj_ = 0;
-          if (++ti_ == n_trow_) done_ = true;
-        }
-      } else {
-        if (++ti_ == n_trow_) {
-          ti_ = 0;
-          if (++tj_ == n_tcol_) done_ = true;
-        }
-      }
+    if (++ti_ == n_trow_) {
+      ti_ = 0;
+      if (++tj_ == n_tcol_) done_ = true;
     }
   }
-  return true;
 }
 
 }  // namespace fblas::stream

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
 #include "common/view.hpp"
@@ -36,12 +37,47 @@ class TileWalker {
   TileWalker(std::int64_t rows, std::int64_t cols, TileSchedule sched);
 
   /// Advances to the next coordinate; false when the traversal is done.
-  bool next(std::int64_t& row, std::int64_t& col);
+  bool next(std::int64_t& row, std::int64_t& col) {
+    return next_run(row, col, 1) == 1;
+  }
+
+  /// Advances over a run of up to `max` (>= 1) coordinates that are
+  /// consecutive in the element order — (row, col..) for row-major
+  /// elements, (row.., col) for column-major — and stops at the end of a
+  /// tile line. Returns the run length; 0 when the traversal is done.
+  std::int64_t next_run(std::int64_t& row, std::int64_t& col,
+                        std::int64_t max) {
+    if (done_) return 0;
+    // Extent of the current (clamped) tile.
+    const std::int64_t h = std::min(s_.tile_rows, rows_ - ti_ * s_.tile_rows);
+    const std::int64_t w = std::min(s_.tile_cols, cols_ - tj_ * s_.tile_cols);
+    row = ti_ * s_.tile_rows + ei_;
+    col = tj_ * s_.tile_cols + ej_;
+    // Advance the element cursor within the tile.
+    std::int64_t len = 0;
+    if (s_.elem_order == Order::RowMajor) {
+      len = std::min(max, w - ej_);
+      if ((ej_ += len) == w) {
+        ej_ = 0;
+        if (++ei_ == h) ei_ = 0;
+      }
+    } else {
+      len = std::min(max, h - ei_);
+      if ((ei_ += len) == h) {
+        ei_ = 0;
+        if (++ej_ == w) ej_ = 0;
+      }
+    }
+    if (ei_ == 0 && ej_ == 0) next_tile();
+    return len;
+  }
 
   std::int64_t total() const { return rows_ * cols_; }
   void reset();
 
  private:
+  void next_tile();  // tile finished: advance the tile cursor
+
   std::int64_t rows_, cols_;
   TileSchedule s_;
   std::int64_t n_trow_, n_tcol_;  // number of tile rows / cols
@@ -50,6 +86,20 @@ class TileWalker {
   bool done_ = false;
 };
 
+// The streamers below move each cycle's elements as bursts (push_n /
+// pop_n) through the one channel they touch, which is element-exact:
+// see the burst note on Channel. Memory is touched when single pushes
+// and pops would touch it: a writer stores each burst as it arrives, and
+// a reader loads only what can enter the channel now.
+
+/// Elements a reader loads for its next push_n: those that fit now, or
+/// the one element a single push loads before it suspends on a full
+/// channel.
+inline std::int64_t read_ahead(const ChannelBase& out, std::int64_t left) {
+  return std::max<std::int64_t>(
+      1, std::min(left, static_cast<std::int64_t>(out.room())));
+}
+
 /// Streams `v` into `out`, `repeat` times over, up to `width` elements per
 /// cycle, metered by `bank` when present. Replaying a vector (repeat > 1)
 /// is exactly the paper's "x must be replayed" behaviour.
@@ -57,12 +107,17 @@ template <typename T>
 Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
                  Channel<T>& out, DramBank* bank = nullptr) {
   const std::int64_t n = v.size();
+  std::vector<T> burst(static_cast<std::size_t>(width));
   for (std::int64_t r = 0; r < repeat; ++r) {
     std::int64_t idx = 0;
     while (idx < n) {
       const std::int64_t want = std::min<std::int64_t>(width, n - idx);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      for (std::int64_t k = 0; k < got; ++k) co_await out.push(v[idx + k]);
+      for (std::int64_t k = 0; k < got;) {
+        const std::int64_t m = read_ahead(out, got - k);
+        for (std::int64_t e = 0; e < m; ++e) burst[e] = v[idx + k + e];
+        k += co_await out.push_n(burst.data(), m);
+      }
       idx += got;
       co_await next_cycle();
     }
@@ -75,12 +130,18 @@ template <typename T>
 Task write_vector(VectorView<T> v, std::int64_t repeat, int width,
                   Channel<T>& in, DramBank* bank = nullptr) {
   const std::int64_t n = v.size();
+  std::vector<T> burst(static_cast<std::size_t>(width));
   for (std::int64_t r = 0; r < repeat; ++r) {
     std::int64_t idx = 0;
     while (idx < n) {
       const std::int64_t want = std::min<std::int64_t>(width, n - idx);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      for (std::int64_t k = 0; k < got; ++k) v[idx + k] = co_await in.pop();
+      // Each burst lands in memory as soon as it is popped, as single
+      // pops would.
+      for (std::int64_t k = 0; k < got;) {
+        const std::size_t m = co_await in.pop_n(burst.data(), got - k);
+        for (std::size_t e = 0; e < m; ++e) v[idx + k++] = burst[e];
+      }
       idx += got;
       co_await next_cycle();
     }
@@ -91,16 +152,24 @@ Task write_vector(VectorView<T> v, std::int64_t repeat, int width,
 template <typename T>
 Task read_matrix(MatrixView<const T> A, TileSchedule sched, std::int64_t repeat,
                  int width, Channel<T>& out, DramBank* bank = nullptr) {
+  const bool by_rows = sched.elem_order == Order::RowMajor;
+  std::vector<T> burst(static_cast<std::size_t>(width));
   for (std::int64_t r = 0; r < repeat; ++r) {
     TileWalker walk(A.rows(), A.cols(), sched);
     std::int64_t remaining = walk.total();
     while (remaining > 0) {
       const std::int64_t want = std::min<std::int64_t>(width, remaining);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      for (std::int64_t k = 0; k < got; ++k) {
-        std::int64_t i = 0, j = 0;
-        walk.next(i, j);
-        co_await out.push(A(i, j));
+      for (std::int64_t k = 0; k < got;) {
+        const std::int64_t m = read_ahead(out, got - k);
+        for (std::int64_t e = 0; e < m;) {
+          std::int64_t i = 0, j = 0;
+          const std::int64_t len = walk.next_run(i, j, m - e);
+          for (std::int64_t r = 0; r < len; ++r, ++e) {
+            burst[e] = by_rows ? A(i, j + r) : A(i + r, j);
+          }
+        }
+        k += co_await out.push_n(burst.data(), m);
       }
       remaining -= got;
       co_await next_cycle();
@@ -112,15 +181,24 @@ Task read_matrix(MatrixView<const T> A, TileSchedule sched, std::int64_t repeat,
 template <typename T>
 Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
                   Channel<T>& in, DramBank* bank = nullptr) {
+  const bool by_rows = sched.elem_order == Order::RowMajor;
+  std::vector<T> burst(static_cast<std::size_t>(width));
   TileWalker walk(A.rows(), A.cols(), sched);
   std::int64_t remaining = walk.total();
   while (remaining > 0) {
     const std::int64_t want = std::min<std::int64_t>(width, remaining);
     const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-    for (std::int64_t k = 0; k < got; ++k) {
-      std::int64_t i = 0, j = 0;
-      walk.next(i, j);
-      A(i, j) = co_await in.pop();
+    for (std::int64_t k = 0; k < got;) {
+      const auto m =
+          static_cast<std::int64_t>(co_await in.pop_n(burst.data(), got - k));
+      for (std::int64_t e = 0; e < m;) {
+        std::int64_t i = 0, j = 0;
+        const std::int64_t len = walk.next_run(i, j, m - e);
+        for (std::int64_t r = 0; r < len; ++r, ++e) {
+          (by_rows ? A(i, j + r) : A(i + r, j)) = burst[e];
+        }
+      }
+      k += m;
     }
     remaining -= got;
     co_await next_cycle();
@@ -132,10 +210,13 @@ Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
 /// to decouple them from the testbed's memory interface.
 template <typename T>
 Task generate(std::int64_t n, T value, int width, Channel<T>& out) {
+  const std::vector<T> burst(static_cast<std::size_t>(width), value);
   std::int64_t idx = 0;
   while (idx < n) {
     const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
-    for (std::int64_t k = 0; k < batch; ++k) co_await out.push(value);
+    for (std::int64_t k = 0; k < batch;) {
+      k += co_await out.push_n(burst.data(), batch - k);
+    }
     idx += batch;
     co_await next_cycle();
   }
@@ -144,27 +225,47 @@ Task generate(std::int64_t n, T value, int width, Channel<T>& out) {
 /// On-chip sink: consumes and discards n elements, `width` per cycle.
 template <typename T>
 Task sink(std::int64_t n, int width, Channel<T>& in) {
+  std::vector<T> burst(static_cast<std::size_t>(width));
   std::int64_t idx = 0;
   while (idx < n) {
     const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
-    for (std::int64_t k = 0; k < batch; ++k) (void)co_await in.pop();
+    for (std::int64_t k = 0; k < batch;) {
+      k += co_await in.pop_n(burst.data(), batch - k);
+    }
     idx += batch;
     co_await next_cycle();
   }
 }
 
 /// Duplicates a stream of n elements into two downstream channels (the
-/// shared-A interface module of the BICG composition, Fig. 7).
+/// shared-A interface module of the BICG composition, Fig. 7). Bursts
+/// keep the per-element push order a0 b0 a1 b1 … so a corruption or
+/// taint counter sees the same sequence.
 template <typename T>
 Task fanout2(std::int64_t n, int width, Channel<T>& in, Channel<T>& out_a,
              Channel<T>& out_b) {
+  std::vector<T> burst(static_cast<std::size_t>(width));
   std::int64_t idx = 0;
   while (idx < n) {
     const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
-    for (std::int64_t k = 0; k < batch; ++k) {
-      T v = co_await in.pop();
-      co_await out_a.push(v);
-      co_await out_b.push(std::move(v));
+    for (std::int64_t k = 0; k < batch;) {
+      const std::size_t m =
+          out_a.push_may_throw()
+              ? 0
+              : burst_len(batch - k, {in.size(), out_a.room(), out_b.room()});
+      if (m == 0) {
+        T v = co_await in.pop();
+        co_await out_a.push(v);
+        co_await out_b.push(std::move(v));
+        ++k;
+        continue;
+      }
+      in.try_take_n(burst.data(), m);
+      for (std::size_t e = 0; e < m; ++e) {
+        out_a.try_put(burst[e]);
+        out_b.try_put(burst[e]);
+      }
+      k += static_cast<std::int64_t>(m);
     }
     idx += batch;
     co_await next_cycle();
@@ -174,9 +275,10 @@ Task fanout2(std::int64_t n, int width, Channel<T>& in, Channel<T>& out_a,
 /// Collects a stream of n elements into a std::vector (test utility).
 template <typename T>
 Task collect(std::int64_t n, Channel<T>& in, std::vector<T>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t k = 0; k < n; ++k) out.push_back(co_await in.pop());
+  out.assign(static_cast<std::size_t>(n), T{});
+  for (std::int64_t k = 0; k < n;) {
+    k += co_await in.pop_n(out.data() + k, n - k);
+  }
   co_await next_cycle();
 }
 
@@ -185,7 +287,10 @@ Task collect(std::int64_t n, Channel<T>& in, std::vector<T>& out) {
 /// to temporaries would dangle.
 template <typename T>
 Task feed(std::vector<T> data, Channel<T>& out) {
-  for (const T& v : data) co_await out.push(v);
+  const auto n = static_cast<std::int64_t>(data.size());
+  for (std::int64_t k = 0; k < n;) {
+    k += co_await out.push_n(data.data() + k, n - k);
+  }
   co_await next_cycle();
 }
 

@@ -2,10 +2,18 @@
 // deadlock detection, DRAM bank metering, tile walker, streamers.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/workload.hpp"
+#include "fblas/level1.hpp"
+#include "fblas/level2.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -497,6 +505,822 @@ TEST(Streamers, GenerateAndSinkBalance) {
   g.run();
   EXPECT_EQ(ch.total_pushed(), 256u);
   EXPECT_EQ(ch.total_popped(), 256u);
+}
+
+// ---- Burst transfers are element-exact ------------------------------------
+//
+// The streamers and the SCAL/AXPY/DOT/GEMV modules move bursts through
+// try_put_n / try_take_n. These tests run seeded random graphs twice:
+// once with the per-element modules below (one await per element, kept
+// as the oracle) and once with the library's. Every per-element
+// observable must match: cycles, stalls, channel counters and peaks,
+// module resumes, per-cycle occupancy, DRAM bytes, output bits, and the
+// fault hooks' victims.
+
+namespace per_element {
+
+template <typename T>
+Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
+                 Channel<T>& out, DramBank* bank = nullptr) {
+  const std::int64_t n = v.size();
+  for (std::int64_t r = 0; r < repeat; ++r) {
+    std::int64_t idx = 0;
+    while (idx < n) {
+      const std::int64_t want = std::min<std::int64_t>(width, n - idx);
+      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      for (std::int64_t k = 0; k < got; ++k) co_await out.push(v[idx + k]);
+      idx += got;
+      co_await next_cycle();
+    }
+  }
+}
+
+template <typename T>
+Task write_vector(VectorView<T> v, std::int64_t repeat, int width,
+                  Channel<T>& in, DramBank* bank = nullptr) {
+  const std::int64_t n = v.size();
+  for (std::int64_t r = 0; r < repeat; ++r) {
+    std::int64_t idx = 0;
+    while (idx < n) {
+      const std::int64_t want = std::min<std::int64_t>(width, n - idx);
+      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      for (std::int64_t k = 0; k < got; ++k) v[idx + k] = co_await in.pop();
+      idx += got;
+      co_await next_cycle();
+    }
+  }
+}
+
+template <typename T>
+Task read_matrix(MatrixView<const T> A, TileSchedule sched, std::int64_t repeat,
+                 int width, Channel<T>& out, DramBank* bank = nullptr) {
+  for (std::int64_t r = 0; r < repeat; ++r) {
+    TileWalker walk(A.rows(), A.cols(), sched);
+    std::int64_t remaining = walk.total();
+    while (remaining > 0) {
+      const std::int64_t want = std::min<std::int64_t>(width, remaining);
+      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      for (std::int64_t k = 0; k < got; ++k) {
+        std::int64_t i = 0, j = 0;
+        walk.next(i, j);
+        co_await out.push(A(i, j));
+      }
+      remaining -= got;
+      co_await next_cycle();
+    }
+  }
+}
+
+template <typename T>
+Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
+                  Channel<T>& in, DramBank* bank = nullptr) {
+  TileWalker walk(A.rows(), A.cols(), sched);
+  std::int64_t remaining = walk.total();
+  while (remaining > 0) {
+    const std::int64_t want = std::min<std::int64_t>(width, remaining);
+    const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+    for (std::int64_t k = 0; k < got; ++k) {
+      std::int64_t i = 0, j = 0;
+      walk.next(i, j);
+      A(i, j) = co_await in.pop();
+    }
+    remaining -= got;
+    co_await next_cycle();
+  }
+}
+
+template <typename T>
+Task fanout2(std::int64_t n, int width, Channel<T>& in, Channel<T>& out_a,
+             Channel<T>& out_b) {
+  std::int64_t idx = 0;
+  while (idx < n) {
+    const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
+    for (std::int64_t k = 0; k < batch; ++k) {
+      T v = co_await in.pop();
+      co_await out_a.push(v);
+      co_await out_b.push(std::move(v));
+    }
+    idx += batch;
+    co_await next_cycle();
+  }
+}
+
+template <typename T>
+Task scal(core::Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
+          Channel<T>& ch_out) {
+  cfg.validate();
+  for (std::int64_t it = 0; it < n;) {
+    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    for (std::int64_t i = 0; i < batch; ++i) {
+      co_await ch_out.push(alpha * co_await ch_x.pop());
+    }
+    it += batch;
+    co_await next_cycle();
+  }
+}
+
+template <typename T>
+Task axpy(core::Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
+          Channel<T>& ch_y, Channel<T>& ch_out) {
+  cfg.validate();
+  for (std::int64_t it = 0; it < n;) {
+    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    for (std::int64_t i = 0; i < batch; ++i) {
+      const T x = co_await ch_x.pop();
+      const T y = co_await ch_y.pop();
+      co_await ch_out.push(alpha * x + y);
+    }
+    it += batch;
+    co_await next_cycle();
+  }
+}
+
+template <typename T>
+Task dot(core::Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
+         Channel<T>& ch_y, Channel<T>& ch_res) {
+  cfg.validate();
+  T res = T(0);
+  for (std::int64_t it = 0; it < n;) {
+    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    T acc = T(0);
+    for (std::int64_t i = 0; i < batch; ++i) {
+      acc += co_await ch_x.pop() * co_await ch_y.pop();
+    }
+    res += acc;
+    it += batch;
+    co_await next_cycle();
+  }
+  co_await ch_res.push(res);
+}
+
+template <typename T>
+Task gemv(core::GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
+          T beta, Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
+          Channel<T>& ch_out) {
+  cfg.validate();
+  const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
+  const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
+  const int W = cfg.width;
+  // Element traversal within a tile (row- or column-major): the loops
+  // below iterate (outer, inner) and map to (r, c) through these lambdas.
+  const bool row_elems = cfg.elem_order == Order::RowMajor;
+  auto row_of = [row_elems](std::int64_t o, std::int64_t i) {
+    return row_elems ? o : i;
+  };
+  auto col_of = [row_elems](std::int64_t o, std::int64_t i) {
+    return row_elems ? i : o;
+  };
+  std::vector<T> xbuf, acc;
+
+  if (cfg.trans == Transpose::None &&
+      cfg.tiling == core::MatrixTiling::TilesByRows) {
+    // Fig. 2 (left): reuse over y; x replayed once per tile-row.
+    xbuf.resize(static_cast<std::size_t>(TM));
+    acc.resize(static_cast<std::size_t>(TN));
+    std::vector<T> ybuf(static_cast<std::size_t>(TN));
+    for (std::int64_t ti = 0; ti < nti; ++ti) {
+      const std::int64_t th = std::min(TN, rows - ti * TN);
+      for (std::int64_t r = 0; r < th; ++r) {
+        ybuf[r] = beta * co_await ch_y.pop();
+        acc[r] = T(0);
+      }
+      for (std::int64_t tj = 0; tj < ntj; ++tj) {
+        const std::int64_t tw = std::min(TM, cols - tj * TM);
+        for (std::int64_t c = 0; c < tw; ++c) xbuf[c] = co_await ch_x.pop();
+        int in_cycle = 0;
+        const std::int64_t no = row_elems ? th : tw;
+        const std::int64_t ni = row_elems ? tw : th;
+        for (std::int64_t o = 0; o < no; ++o) {
+          for (std::int64_t i = 0; i < ni; ++i) {
+            acc[row_of(o, i)] += co_await ch_a.pop() * xbuf[col_of(o, i)];
+            if (++in_cycle == W) {
+              in_cycle = 0;
+              co_await next_cycle();
+            }
+          }
+        }
+      }
+      for (std::int64_t r = 0; r < th; ++r) {
+        co_await ch_out.push(ybuf[r] + alpha * acc[r]);
+      }
+      co_await next_cycle();
+    }
+  } else if (cfg.trans == Transpose::None &&
+             cfg.tiling == core::MatrixTiling::TilesByCols) {
+    // Fig. 2 (right): x read once; y (partial results) replayed. The
+    // full-length partial buffer models the DRAM round trip.
+    xbuf.resize(static_cast<std::size_t>(TM));
+    std::vector<T> part(static_cast<std::size_t>(rows), T(0));
+    for (std::int64_t tj = 0; tj < ntj; ++tj) {
+      const std::int64_t tw = std::min(TM, cols - tj * TM);
+      for (std::int64_t c = 0; c < tw; ++c) xbuf[c] = co_await ch_x.pop();
+      for (std::int64_t ti = 0; ti < nti; ++ti) {
+        const std::int64_t th = std::min(TN, rows - ti * TN);
+        if (tj == 0) {
+          for (std::int64_t r = 0; r < th; ++r) {
+            part[ti * TN + r] = beta * co_await ch_y.pop();
+          }
+        }
+        int in_cycle = 0;
+        const std::int64_t no = row_elems ? th : tw;
+        const std::int64_t ni = row_elems ? tw : th;
+        for (std::int64_t o = 0; o < no; ++o) {
+          for (std::int64_t i = 0; i < ni; ++i) {
+            part[ti * TN + row_of(o, i)] +=
+                alpha * co_await ch_a.pop() * xbuf[col_of(o, i)];
+            if (++in_cycle == W) {
+              in_cycle = 0;
+              co_await next_cycle();
+            }
+          }
+        }
+        if (tj == ntj - 1) {
+          for (std::int64_t r = 0; r < th; ++r) {
+            co_await ch_out.push(part[ti * TN + r]);
+          }
+        }
+      }
+      co_await next_cycle();
+    }
+  } else if (cfg.trans == Transpose::Trans &&
+             cfg.tiling == core::MatrixTiling::TilesByRows) {
+    // y = alpha A^T x + beta y with A in tiles by rows: x (length rows)
+    // read once, block per tile-row; y partials buffered full-length.
+    xbuf.resize(static_cast<std::size_t>(TN));
+    std::vector<T> part(static_cast<std::size_t>(cols));
+    for (std::int64_t c = 0; c < cols; ++c) {
+      part[c] = beta * co_await ch_y.pop();
+    }
+    for (std::int64_t ti = 0; ti < nti; ++ti) {
+      const std::int64_t th = std::min(TN, rows - ti * TN);
+      for (std::int64_t r = 0; r < th; ++r) xbuf[r] = co_await ch_x.pop();
+      for (std::int64_t tj = 0; tj < ntj; ++tj) {
+        const std::int64_t tw = std::min(TM, cols - tj * TM);
+        int in_cycle = 0;
+        const std::int64_t no = row_elems ? th : tw;
+        const std::int64_t ni = row_elems ? tw : th;
+        for (std::int64_t o = 0; o < no; ++o) {
+          for (std::int64_t i = 0; i < ni; ++i) {
+            part[tj * TM + col_of(o, i)] +=
+                alpha * co_await ch_a.pop() * xbuf[row_of(o, i)];
+            if (++in_cycle == W) {
+              in_cycle = 0;
+              co_await next_cycle();
+            }
+          }
+        }
+      }
+    }
+    for (std::int64_t c = 0; c < cols; ++c) co_await ch_out.push(part[c]);
+    co_await next_cycle();
+  } else {
+    // trans, tiles by columns: reuse over y blocks; x replayed per
+    // tile-column.
+    xbuf.resize(static_cast<std::size_t>(TN));
+    acc.resize(static_cast<std::size_t>(TM));
+    std::vector<T> ybuf(static_cast<std::size_t>(TM));
+    for (std::int64_t tj = 0; tj < ntj; ++tj) {
+      const std::int64_t tw = std::min(TM, cols - tj * TM);
+      for (std::int64_t c = 0; c < tw; ++c) {
+        ybuf[c] = beta * co_await ch_y.pop();
+        acc[c] = T(0);
+      }
+      for (std::int64_t ti = 0; ti < nti; ++ti) {
+        const std::int64_t th = std::min(TN, rows - ti * TN);
+        for (std::int64_t r = 0; r < th; ++r) xbuf[r] = co_await ch_x.pop();
+        int in_cycle = 0;
+        const std::int64_t no = row_elems ? th : tw;
+        const std::int64_t ni = row_elems ? tw : th;
+        for (std::int64_t o = 0; o < no; ++o) {
+          for (std::int64_t i = 0; i < ni; ++i) {
+            acc[col_of(o, i)] += co_await ch_a.pop() * xbuf[row_of(o, i)];
+            if (++in_cycle == W) {
+              in_cycle = 0;
+              co_await next_cycle();
+            }
+          }
+        }
+      }
+      for (std::int64_t c = 0; c < tw; ++c) {
+        co_await ch_out.push(ybuf[c] + alpha * acc[c]);
+      }
+      co_await next_cycle();
+    }
+  }
+}
+
+}  // namespace per_element
+
+/// A consumer-rate limiter: forwards n elements, `rate` per cycle, one
+/// await at a time (identical in both runs).
+Task throttle(std::int64_t n, int rate, Channel<float>& in,
+              Channel<float>& out) {
+  for (std::int64_t i = 0; i < n;) {
+    for (int k = 0; k < rate && i < n; ++k, ++i) {
+      co_await out.push(co_await in.pop());
+    }
+    co_await next_cycle();
+  }
+}
+
+/// Everything a run exposes per element, cycle or stall.
+struct Observed {
+  std::string error;
+  std::uint64_t cycles = 0, stall_cycles = 0;
+  std::vector<std::uint64_t> pushed, popped, stalls, peaks, resumes, bytes;
+  std::vector<std::vector<std::uint32_t>> occupancy;
+  std::vector<std::uint32_t> out_bits;
+  bool tainted = false;
+  std::string taint_module, taint_channel;
+  std::uint64_t taint_cycle = 0, taint_bits = 0;
+  bool corrupted = false;
+  std::string corrupt_channel, corrupt_module;
+};
+
+/// Names the first field where two runs differ ("" when they match).
+std::string mismatch(const Observed& got, const Observed& want) {
+  std::ostringstream os;
+  auto field = [&](const char* name, const auto& a, const auto& b) {
+    if (os.tellp() == 0 && !(a == b)) os << name << " differs";
+  };
+  field("error", got.error, want.error);
+  field("cycles", got.cycles, want.cycles);
+  field("stall_module_cycles", got.stall_cycles, want.stall_cycles);
+  field("total_pushed", got.pushed, want.pushed);
+  field("total_popped", got.popped, want.popped);
+  field("stall_events", got.stalls, want.stalls);
+  field("peak_occupancy", got.peaks, want.peaks);
+  field("module resumes", got.resumes, want.resumes);
+  field("DRAM bytes", got.bytes, want.bytes);
+  field("occupancy_trace", got.occupancy, want.occupancy);
+  field("output bits", got.out_bits, want.out_bits);
+  field("taint", std::tie(got.tainted, got.taint_module, got.taint_channel,
+                          got.taint_cycle, got.taint_bits),
+        std::tie(want.tainted, want.taint_module, want.taint_channel,
+                 want.taint_cycle, want.taint_bits));
+  field("corruption", std::tie(got.corrupted, got.corrupt_channel,
+                               got.corrupt_module),
+        std::tie(want.corrupted, want.corrupt_channel, want.corrupt_module));
+  if (got.error != want.error) {
+    os << " (got '" << got.error << "', want '" << want.error << "')";
+  }
+  return os.str();
+}
+
+struct Faults {
+  std::uint64_t corrupt_k = 0;  // 0: no in-flight corruption
+  bool taint = false, trap = false;
+};
+
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// Runs `g` (with its outputs in `outs`) and records every observable.
+Observed observe(Graph& g, const std::vector<DramBank*>& banks,
+                 const std::vector<const std::vector<float>*>& outs,
+                 const Faults& f) {
+  Scheduler& s = g.scheduler();
+  s.enable_occupancy_trace();
+  if (f.taint) s.enable_taint(f.trap);
+  if (f.corrupt_k != 0) s.corrupt_push(f.corrupt_k);
+  Observed o;
+  try {
+    g.run();
+  } catch (const std::exception& e) {
+    o.error = e.what();
+  }
+  o.cycles = g.cycles();
+  o.stall_cycles = s.stall_module_cycles();
+  for (std::size_t c = 0; c < g.channels().size(); ++c) {
+    const ChannelBase& ch = *g.channels()[c];
+    o.pushed.push_back(ch.total_pushed());
+    o.popped.push_back(ch.total_popped());
+    o.stalls.push_back(ch.stall_events());
+    o.peaks.push_back(ch.peak_occupancy());
+    o.occupancy.push_back(s.occupancy_trace(c));
+  }
+  for (std::size_t m = 0; m < s.module_count(); ++m) {
+    o.resumes.push_back(s.module_resumes(static_cast<int>(m)));
+  }
+  for (const DramBank* b : banks) o.bytes.push_back(b->total_bytes());
+  for (const auto* v : outs) {
+    for (const float x : *v) o.out_bits.push_back(bits_of(x));
+  }
+  o.tainted = s.taint().tainted;
+  o.taint_module = s.taint().module;
+  o.taint_channel = s.taint().channel;
+  o.taint_cycle = s.taint().cycle;
+  o.taint_bits = std::bit_cast<std::uint64_t>(s.taint().value);
+  o.corrupted = s.corruption_fired();
+  o.corrupt_channel = s.corrupted_channel();
+  o.corrupt_module = s.corrupting_module();
+  return o;
+}
+
+constexpr std::size_t kCaps[] = {1, 3, 5, 63, 64, 100};
+constexpr int kWidths[] = {1, 3, 16};
+
+/// A random Level-1 pipeline: x -> SCAL -> AXPY(+y) -> fan-out -> {DOT(z),
+/// throttled metered writer}, readers metered on two shared banks.
+struct VectorCase {
+  std::int64_t n;
+  int width, rate;
+  float alpha, beta;
+  std::size_t caps[9];
+  double bank_bytes[2];
+  int bank_of[4];  // readers x, y, z and the writer
+  std::vector<float> x, y, z;
+
+  explicit VectorCase(std::mt19937& rng) {
+    auto pick = [&](int k) {
+      return std::uniform_int_distribution<int>(0, k - 1)(rng);
+    };
+    n = 1 + pick(300);
+    width = kWidths[pick(3)];
+    rate = 1 + pick(2 * width);
+    alpha = 0.5f + 0.25f * static_cast<float>(pick(8));
+    beta = -1.0f + 0.125f * static_cast<float>(pick(16));
+    for (auto& c : caps) c = kCaps[pick(6)];
+    for (auto& b : bank_bytes) b = 2.0 + 8.0 * pick(12);
+    for (auto& b : bank_of) b = pick(2);
+    x = Workload(rng()).vector<float>(n);
+    y = Workload(rng()).vector<float>(n);
+    z = Workload(rng()).vector<float>(n);
+  }
+
+  Observed run(bool burst, Mode mode, const Faults& f = {}) const {
+    Graph g(mode);
+    std::vector<DramBank*> banks{&g.bank("ddr0", bank_bytes[0]),
+                                 &g.bank("ddr1", bank_bytes[1])};
+    std::vector<Channel<float>*> ch;
+    for (int c = 0; c < 9; ++c) {
+      ch.push_back(&g.channel<float>("c" + std::to_string(c), caps[c]));
+    }
+    std::vector<float> out(static_cast<std::size_t>(n)), res;
+    const core::Level1Config cfg{width};
+    const auto cx = VectorView<const float>(x.data(), n);
+    const auto cy = VectorView<const float>(y.data(), n);
+    const auto cz = VectorView<const float>(z.data(), n);
+    const auto vout = VectorView<float>(out.data(), n);
+    DramBank* bx = banks[bank_of[0]];
+    DramBank* by = banks[bank_of[1]];
+    DramBank* bz = banks[bank_of[2]];
+    DramBank* bw = banks[bank_of[3]];
+    if (burst) {
+      g.spawn("rx", read_vector<float>(cx, 1, width, *ch[0], bx));
+      g.spawn("ry", read_vector<float>(cy, 1, width, *ch[1], by));
+      g.spawn("rz", read_vector<float>(cz, 1, width, *ch[2], bz));
+      g.spawn("scal", core::scal<float>(cfg, n, alpha, *ch[0], *ch[3]));
+      g.spawn("axpy", core::axpy<float>(cfg, n, beta, *ch[3], *ch[1], *ch[4]));
+      g.spawn("fan", fanout2<float>(n, width, *ch[4], *ch[5], *ch[6]));
+      g.spawn("dot", core::dot<float>(cfg, n, *ch[5], *ch[2], *ch[7]));
+      g.spawn("wr", write_vector<float>(vout, 1, width, *ch[8], bw));
+    } else {
+      g.spawn("rx", per_element::read_vector<float>(cx, 1, width, *ch[0], bx));
+      g.spawn("ry", per_element::read_vector<float>(cy, 1, width, *ch[1], by));
+      g.spawn("rz", per_element::read_vector<float>(cz, 1, width, *ch[2], bz));
+      g.spawn("scal", per_element::scal<float>(cfg, n, alpha, *ch[0], *ch[3]));
+      g.spawn("axpy",
+              per_element::axpy<float>(cfg, n, beta, *ch[3], *ch[1], *ch[4]));
+      g.spawn("fan",
+              per_element::fanout2<float>(n, width, *ch[4], *ch[5], *ch[6]));
+      g.spawn("dot", per_element::dot<float>(cfg, n, *ch[5], *ch[2], *ch[7]));
+      g.spawn("wr",
+              per_element::write_vector<float>(vout, 1, width, *ch[8], bw));
+    }
+    g.spawn("throttle", throttle(n, rate, *ch[6], *ch[8]));
+    g.spawn("res", collect<float>(1, *ch[7], res));
+    return observe(g, banks, {&out, &res}, f);
+  }
+};
+
+/// A random GEMV: every transpose / tiling / element order, ragged tiles,
+/// metered readers, a throttled result consumer.
+struct GemvCase {
+  std::int64_t rows, cols;
+  core::GemvConfig cfg;
+  int rate;
+  float alpha, beta;
+  std::size_t caps[5];
+  double bank_bytes;
+  std::vector<float> a, x, y;
+
+  explicit GemvCase(std::mt19937& rng) {
+    auto pick = [&](int k) {
+      return std::uniform_int_distribution<int>(0, k - 1)(rng);
+    };
+    rows = 1 + pick(24);
+    cols = 1 + pick(24);
+    cfg.trans = pick(2) ? Transpose::Trans : Transpose::None;
+    cfg.tiling = pick(2) ? core::MatrixTiling::TilesByCols
+                         : core::MatrixTiling::TilesByRows;
+    cfg.elem_order = pick(2) ? Order::ColMajor : Order::RowMajor;
+    cfg.width = kWidths[pick(3)];
+    cfg.tile_rows = 1 + pick(9);
+    cfg.tile_cols = 1 + pick(9);
+    rate = 1 + pick(2 * cfg.width);
+    alpha = 0.5f + 0.25f * static_cast<float>(pick(8));
+    beta = -1.0f + 0.125f * static_cast<float>(pick(16));
+    for (auto& c : caps) c = kCaps[pick(6)];
+    bank_bytes = 2.0 + 8.0 * pick(12);
+    a = Workload(rng()).vector<float>(rows * cols);
+    const bool t = cfg.trans == Transpose::Trans;
+    x = Workload(rng()).vector<float>(t ? rows : cols);
+    y = Workload(rng()).vector<float>(t ? cols : rows);
+  }
+
+  Observed run(bool burst, Mode mode, const Faults& f = {}) const {
+    Graph g(mode);
+    std::vector<DramBank*> banks{&g.bank("ddr", bank_bytes)};
+    std::vector<Channel<float>*> ch;
+    for (int c = 0; c < 5; ++c) {
+      ch.push_back(&g.channel<float>("c" + std::to_string(c), caps[c]));
+    }
+    const auto nx = static_cast<std::int64_t>(x.size());
+    const auto ny = static_cast<std::int64_t>(y.size());
+    std::vector<float> out(y.size());
+    const MatrixView<const float> A(a.data(), rows, cols, cols);
+    const VectorView<const float> cx(x.data(), nx), cy(y.data(), ny);
+    const VectorView<float> vout(out.data(), ny);
+    const TileSchedule sched = core::gemv_a_schedule(cfg);
+    const std::int64_t xr = core::gemv_x_repeat(cfg, rows, cols);
+    const int w = cfg.width;
+    if (burst) {
+      g.spawn("ra", read_matrix<float>(A, sched, 1, w, *ch[0], banks[0]));
+      g.spawn("rx", read_vector<float>(cx, xr, w, *ch[1], banks[0]));
+      g.spawn("ry", read_vector<float>(cy, 1, w, *ch[2]));
+      g.spawn("gemv", core::gemv<float>(cfg, rows, cols, alpha, beta, *ch[0],
+                                        *ch[1], *ch[2], *ch[3]));
+      g.spawn("wr", write_vector<float>(vout, 1, w, *ch[4], banks[0]));
+    } else {
+      g.spawn("ra", per_element::read_matrix<float>(A, sched, 1, w, *ch[0],
+                                                    banks[0]));
+      g.spawn("rx",
+              per_element::read_vector<float>(cx, xr, w, *ch[1], banks[0]));
+      g.spawn("ry", per_element::read_vector<float>(cy, 1, w, *ch[2]));
+      g.spawn("gemv", per_element::gemv<float>(cfg, rows, cols, alpha, beta,
+                                               *ch[0], *ch[1], *ch[2], *ch[3]));
+      g.spawn("wr",
+              per_element::write_vector<float>(vout, 1, w, *ch[4], banks[0]));
+    }
+    g.spawn("throttle", throttle(ny, rate, *ch[3], *ch[4]));
+    return observe(g, banks, {&out}, f);
+  }
+};
+
+/// A random matrix round trip: read_matrix -> throttle -> write_matrix,
+/// both metered on one bank, under random tile schedules. In place, the
+/// writer stores into the matrix being read, in its own schedule, so
+/// the reader must load each element exactly when a single push would.
+struct MatrixCase {
+  std::int64_t rows, cols;
+  TileSchedule rsched, wsched;
+  bool in_place;
+  int width, rate;
+  std::size_t caps[2];
+  double bank_bytes;
+  std::vector<float> a;
+
+  explicit MatrixCase(std::mt19937& rng) {
+    auto pick = [&](int k) {
+      return std::uniform_int_distribution<int>(0, k - 1)(rng);
+    };
+    rows = 1 + pick(24);
+    cols = 1 + pick(24);
+    for (TileSchedule* s : {&rsched, &wsched}) {
+      s->tile_order = pick(2) ? Order::ColMajor : Order::RowMajor;
+      s->elem_order = pick(2) ? Order::ColMajor : Order::RowMajor;
+      s->tile_rows = 1 + pick(9);
+      s->tile_cols = 1 + pick(9);
+    }
+    in_place = pick(2) == 1;
+    if (!in_place) wsched = rsched;
+    width = kWidths[pick(3)];
+    rate = 1 + pick(2 * width);
+    for (auto& c : caps) c = kCaps[pick(6)];
+    bank_bytes = 2.0 + 8.0 * pick(12);
+    a = Workload(rng()).vector<float>(rows * cols);
+  }
+
+  Observed run(bool burst, Mode mode) const {
+    Graph g(mode);
+    std::vector<DramBank*> banks{&g.bank("ddr", bank_bytes)};
+    auto& c0 = g.channel<float>("c0", caps[0]);
+    auto& c1 = g.channel<float>("c1", caps[1]);
+    std::vector<float> in = a, out(a.size());
+    std::vector<float>& dst = in_place ? in : out;
+    const MatrixView<const float> A(in.data(), rows, cols, cols);
+    const MatrixView<float> B(dst.data(), rows, cols, cols);
+    if (burst) {
+      g.spawn("ra", read_matrix<float>(A, rsched, 1, width, c0, banks[0]));
+      g.spawn("wa", write_matrix<float>(B, wsched, width, c1, banks[0]));
+    } else {
+      g.spawn("ra", per_element::read_matrix<float>(A, rsched, 1, width, c0,
+                                                    banks[0]));
+      g.spawn("wa", per_element::write_matrix<float>(B, wsched, width, c1,
+                                                     banks[0]));
+    }
+    g.spawn("throttle", throttle(rows * cols, rate, c0, c1));
+    return observe(g, banks, {&dst}, {});
+  }
+};
+
+TEST(BurstExactness, RandomMatrixRoundTripsMatchPerElement) {
+  std::mt19937 rng(2020);
+  int in_place = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const MatrixCase c(rng);
+    in_place += c.in_place;
+    for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+      const Observed ref = c.run(false, mode);
+      ASSERT_TRUE(ref.error.empty()) << ref.error;
+      if (!c.in_place) {
+        ASSERT_EQ(ref.out_bits.size(), c.a.size());
+        for (std::size_t e = 0; e < c.a.size(); ++e) {
+          ASSERT_EQ(ref.out_bits[e], bits_of(c.a[e]));
+        }
+      }
+      EXPECT_EQ(mismatch(c.run(true, mode), ref), "")
+          << "trial " << trial << " " << c.rows << "x" << c.cols
+          << " W=" << c.width << (c.in_place ? " in place" : "");
+    }
+  }
+  EXPECT_GT(in_place, 20);
+}
+
+TEST(BurstExactness, RandomVectorPipelinesMatchPerElement) {
+  std::mt19937 rng(20200901);
+  for (int trial = 0; trial < 60; ++trial) {
+    const VectorCase c(rng);
+    for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+      const Observed ref = c.run(false, mode);
+      ASSERT_TRUE(ref.error.empty()) << ref.error;
+      EXPECT_EQ(mismatch(c.run(true, mode), ref), "")
+          << "trial " << trial << " n=" << c.n << " W=" << c.width;
+    }
+  }
+}
+
+TEST(BurstExactness, RandomGemvsMatchPerElement) {
+  std::mt19937 rng(1912);
+  for (int trial = 0; trial < 80; ++trial) {
+    const GemvCase c(rng);
+    for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+      const Observed ref = c.run(false, mode);
+      ASSERT_TRUE(ref.error.empty()) << ref.error;
+      EXPECT_EQ(mismatch(c.run(true, mode), ref), "")
+          << "trial " << trial << " " << c.rows << "x" << c.cols
+          << " W=" << c.cfg.width;
+    }
+  }
+}
+
+/// A corruption target drawn from every push a clean run makes, so it
+/// lands in any module, mostly inside a burst.
+template <typename Case>
+void expect_corruption_matches(const Case& c, std::mt19937& rng) {
+  const Observed clean = c.run(false, Mode::Cycle);
+  std::uint64_t pushes = 0;
+  for (const std::uint64_t p : clean.pushed) pushes += p;
+  const std::uint64_t k =
+      std::uniform_int_distribution<std::uint64_t>(1, pushes)(rng);
+  const Observed ref = c.run(false, Mode::Cycle, {k});
+  ASSERT_TRUE(ref.corrupted);
+  EXPECT_EQ(mismatch(c.run(true, Mode::Cycle, {k}), ref), "")
+      << "target " << k << " of " << pushes << " in '"
+      << ref.corrupt_channel << "' by '" << ref.corrupt_module << "'";
+}
+
+TEST(BurstExactness, MidBurstCorruptionHitsTheSameElement) {
+  // The damaged element, channel and module must be those of the
+  // per-element run.
+  std::mt19937 rng(77);
+  for (int trial = 0; trial < 100; ++trial) {
+    expect_corruption_matches(VectorCase(rng), rng);
+    expect_corruption_matches(GemvCase(rng), rng);
+  }
+}
+
+TEST(BurstExactness, MidBurstNonFiniteKeepsTaintProvenance) {
+  std::mt19937 rng(4242);
+  for (int trial = 0; trial < 24; ++trial) {
+    VectorCase c(rng);
+    const auto j = std::uniform_int_distribution<std::int64_t>(0, c.n - 1)(rng);
+    // Odd trials poison an input (first seen at the reader); even ones
+    // make SCAL overflow, so the module itself produces the Inf.
+    if (trial % 2 == 1) {
+      c.x[static_cast<std::size_t>(j)] =
+          std::numeric_limits<float>::quiet_NaN();
+    } else {
+      c.x[static_cast<std::size_t>(j)] = 3e38f;
+      c.alpha = 4.0f;
+    }
+    for (const bool trap : {false, true}) {
+      const Faults f{0, true, trap};
+      const Observed ref = c.run(false, Mode::Cycle, f);
+      ASSERT_TRUE(ref.tainted);
+      EXPECT_EQ(ref.taint_module, trial % 2 == 1 ? "rx" : "scal");
+      EXPECT_EQ(!ref.error.empty(), trap);  // trap mode throws
+      EXPECT_EQ(mismatch(c.run(true, Mode::Cycle, f), ref), "")
+          << "trial " << trial << " trap=" << trap << " j=" << j;
+    }
+  }
+}
+
+TEST(Channel, BurstTapMatchesPerElementTap) {
+  // Weighted checksum taps: bursts of uneven length must fold the same
+  // weights in the same order as single pushes, bit for bit, and
+  // re-arming restarts the weight cursor.
+  const std::vector<double> weights{0.5, -1.25, 3.0, 0.0, -0.0, 7.5, 1e-3};
+  std::vector<float> data = Workload(9).vector<float>(101, -4.0, 4.0);
+  data[17] = -0.0f;
+  for (int round = 0; round < 2; ++round) {
+    Graph g;
+    auto& one = g.channel<float>("one", 100);
+    auto& many = g.channel<float>("many", 100);
+    one.arm_tap(&weights);
+    many.arm_tap(&weights);
+    float sinkv[16];
+    std::size_t k = 0;
+    for (std::size_t len = 1; k < data.size(); len = len % 13 + 1) {
+      const std::size_t n = std::min(len, data.size() - k);
+      for (std::size_t e = 0; e < n; ++e) ASSERT_TRUE(one.try_put(data[k + e]));
+      ASSERT_EQ(many.try_put_n(data.data() + k, n), n);
+      ASSERT_EQ(one.try_take_n(sinkv, 16), n);
+      ASSERT_EQ(many.try_take_n(sinkv, 16), n);
+      k += n;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_sum()),
+              std::bit_cast<std::uint64_t>(one.tap_sum()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_mag()),
+              std::bit_cast<std::uint64_t>(one.tap_mag()));
+    EXPECT_EQ(many.tap_count(), data.size());
+    // The reference weighting, k-th value times weights[k % 7].
+    double sum = 0, mag = 0;
+    for (std::size_t e = 0; e < data.size(); ++e) {
+      const double d = weights[e % weights.size()] * data[e];
+      sum += d;
+      mag += d < 0 ? -d : d;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_sum()),
+              std::bit_cast<std::uint64_t>(sum));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_mag()),
+              std::bit_cast<std::uint64_t>(mag));
+    // Round 1 drops 3 values, so the bursts straddle the weight period
+    // at other points.
+    data.erase(data.begin(), data.begin() + 3);
+  }
+  // Re-arming after a burst restarts the weights at weights[0].
+  Graph g;
+  auto& ch = g.channel<float>("rearm", 8);
+  const float v[3] = {1.0f, 2.0f, 4.0f};
+  ch.arm_tap(&weights);
+  ASSERT_EQ(ch.try_put_n(v, 3), 3u);
+  ch.arm_tap(&weights);
+  float out[3];
+  ASSERT_EQ(ch.try_take_n(out, 3), 3u);
+  ASSERT_EQ(ch.try_put_n(v, 2), 2u);
+  EXPECT_EQ(ch.tap_sum(), 0.5 * 1.0 + -1.25 * 2.0);
+  EXPECT_EQ(ch.tap_count(), 2u);
+}
+
+TEST(Channel, NonPowerOfTwoCapacityStaysLogical) {
+  // Storage is rounded up to 4 slots; the channel must still hold 3.
+  Graph g(Mode::Cycle);
+  auto& ch = g.channel<float>("c3", 3);
+  const float src[10] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(ch.try_put_n(src, 10), 3u);
+  EXPECT_TRUE(ch.full());
+  EXPECT_EQ(ch.size(), 3u);
+  EXPECT_EQ(ch.room(), 0u);
+  EXPECT_FALSE(ch.try_put(10.0f));
+  float dst[10] = {};
+  EXPECT_EQ(ch.try_take_n(dst, 2), 2u);
+  EXPECT_EQ(dst[0], 0.0f);
+  EXPECT_EQ(dst[1], 1.0f);
+  // Wrap the ring through the unused storage slot several times.
+  for (int round = 0; round < 5; ++round) {
+    EXPECT_EQ(ch.try_put_n(src + 3, 10), 2u);
+    EXPECT_TRUE(ch.full());
+    EXPECT_EQ(ch.try_take_n(dst, 10), 3u);
+    EXPECT_EQ(dst[0], round == 0 ? 2.0f : 4.0f);
+    EXPECT_EQ(dst[1], 3.0f);
+    EXPECT_EQ(dst[2], 4.0f);
+    EXPECT_EQ(ch.try_put_n(src + 4, 1), 1u);
+  }
+  EXPECT_EQ(ch.peak_occupancy(), 3u);
+
+  // A producer that fills it and a consumer that never comes: the
+  // deadlock diagnostic reports the logical 3/3.
+  Graph d;
+  auto& c3 = d.channel<float>("c3", 3);
+  d.spawn("gen", generate<float>(8, 1.0f, 8, c3));
+  try {
+    d.run();
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("occupancy 3/3"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
