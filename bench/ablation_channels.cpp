@@ -3,13 +3,16 @@
 //     producer and consumer in the cycle simulator; a few batches of
 //     slack recover full overlap (why the lowerings use >= 2W).
 // (2) The ATAX feasibility boundary: completion vs deadlock as the
-//     direct A channel's depth crosses M*TN (Sec. V-B), measured live.
+//     direct A channel's depth crosses M*TN (Sec. V-B), measured live on
+//     the compiled composition with that channel's depth pinned.
 #include <cstdio>
 
 #include "apps/atax.hpp"
 #include "common/table_printer.hpp"
 #include "common/workload.hpp"
 #include "fblas/level1.hpp"
+#include "host/buffer.hpp"
+#include "host/context.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -60,15 +63,24 @@ int main() {
             " TN = 16) ==");
   const std::int64_t n = 64, m = 48, tile = 16;
   Workload wl(9);
-  auto a = wl.matrix<float>(n, m);
-  auto x = wl.vector<float>(m);
+  const auto ha = wl.matrix<float>(n, m);
+  const auto hx = wl.vector<float>(m);
   const std::int64_t mtn = m * tile;
+  // The compiled composition with the direct A channel pinned to `depth`,
+  // on a fresh board (a deadlocked command fails its buffers' later users).
   auto completes = [&](std::int64_t depth) {
+    host::Device dev;
+    host::Context ctx(dev, stream::Mode::Cycle);
+    ctx.config().width = 4;
+    ctx.config().tile_rows = tile;
+    ctx.config().tile_cols = tile;
+    host::Buffer<float> a(dev, n * m, 0), x(dev, m, 1), y(dev, m, 2);
+    a.write(ha);
+    x.write(hx);
+    auto c = apps::atax_composition<float>(ctx, n, m, a, x, y);
+    c.pin_channel_depth(apps::kAtaxDirectAEdge, depth);
     try {
-      apps::atax_streaming<float>(sim::stratix10(), stream::Mode::Cycle, 4,
-                                  tile, depth,
-                                  MatrixView<const float>(a.data(), n, m),
-                                  VectorView<const float>(x.data(), m));
+      ctx.run_composition(c);
       return true;
     } catch (const DeadlockError&) {
       return false;

@@ -1,22 +1,21 @@
 // Reproduces Fig. 11: speedup of the streaming compositions over calling
 // the modules one-by-one through the host layer, for AXPYDOT, BICG and
 // GEMVER across input sizes, plus the Sec. V I/O analysis each speedup
-// rests on. Both versions run in the cycle-accurate simulator; speedups
+// rests on. The streaming versions are the compiled compositions
+// (apps::*_composed). Both run in the cycle-accurate simulator; speedups
 // compare wall-clock times (cycles / achieved frequency, which differs
 // between single-module and composed designs).
 //
 // Sizes are scaled down from the paper's 2M-16M / 1K-8K range so the
 // cycle-level simulation stays fast; the speedup is size-stable (see
 // EXPERIMENTS.md).
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "apps/atax.hpp"
 #include "apps/axpydot.hpp"
 #include "apps/bicg.hpp"
 #include "apps/gemver.hpp"
-#include "apps/gesummv.hpp"
 #include "common/table_printer.hpp"
 #include "host/buffer.hpp"
 #include "host/context.hpp"
@@ -35,6 +34,28 @@ double seconds(std::uint64_t cycles, double mhz) {
   return static_cast<double>(cycles) / (mhz * 1e6);
 }
 
+// A cycle-mode board that runs one compiled composition (W = 16,
+// 64 x 64 tiles); its total_cycles() is the composition's device time.
+struct Board {
+  host::Device dev;
+  host::Context ctx;
+  explicit Board(sim::DeviceId id) : dev(id), ctx(dev, Mode::Cycle) {
+    ctx.config().width = 16;
+    ctx.config().tile_rows = 64;
+    ctx.config().tile_cols = 64;
+  }
+  host::Buffer<float> upload(const std::vector<float>& host, int bank) {
+    host::Buffer<float> b(dev, static_cast<std::int64_t>(host.size()),
+                          bank % dev.bank_count());
+    b.write(host);
+    return b;
+  }
+  host::Buffer<float> zeros(std::int64_t n, int bank) {
+    return upload(std::vector<float>(static_cast<std::size_t>(n), 0.0f),
+                  bank);
+  }
+};
+
 void run_axpydot() {
   std::puts("== AXPYDOT: z = w - alpha v; beta = z^T u ==");
   TablePrinter t({"Device", "N", "Streaming time", "Host-layer time",
@@ -52,10 +73,9 @@ void run_axpydot() {
       auto w = wl.vector<float>(n);
       auto v = wl.vector<float>(n);
       auto u = wl.vector<float>(n);
-      const auto streaming = apps::axpydot_streaming<float>(
-          dev, Mode::Cycle, 16, VectorView<const float>(w.data(), n),
-          VectorView<const float>(v.data(), n),
-          VectorView<const float>(u.data(), n), 2.0f);
+      Board b(dev_id);
+      apps::axpydot_composed<float>(b.ctx, n, b.upload(w, 0), b.upload(v, 1),
+                                    b.upload(u, 2), 2.0f);
       host::Device hdev(dev_id);
       host::Context ctx(hdev, Mode::Cycle);
       host::RoutineConfig knobs;
@@ -65,7 +85,7 @@ void run_axpydot() {
           ctx, VectorView<const float>(w.data(), n),
           VectorView<const float>(v.data(), n),
           VectorView<const float>(u.data(), n), 2.0f);
-      const double ts = seconds(streaming.cycles, f_str);
+      const double ts = seconds(b.ctx.total_cycles(), f_str);
       const double th = seconds(host.cycles, f_host);
       t.add_row({dev_id == sim::DeviceId::Arria10 ? "Arria 10" : "Stratix 10",
                  TablePrinter::fmt_int(n), TablePrinter::fmt_time(ts),
@@ -94,10 +114,11 @@ void run_bicg() {
     auto a = wl.matrix<float>(n, n);
     auto p = wl.vector<float>(n);
     auto r = wl.vector<float>(n);
-    const auto streaming = apps::bicg_streaming<float>(
-        dev, Mode::Cycle, 16, 64, MatrixView<const float>(a.data(), n, n),
-        VectorView<const float>(p.data(), n),
-        VectorView<const float>(r.data(), n));
+    Board b(sim::DeviceId::Stratix10);
+    auto q = b.zeros(n, 2);
+    auto s = b.zeros(n, 3);
+    apps::bicg_composed<float>(b.ctx, n, n, b.upload(a, 0), b.upload(p, 1),
+                               b.upload(r, 1), q, s);
     host::Device hdev(sim::DeviceId::Stratix10);
     host::Context ctx(hdev, Mode::Cycle);
     host::RoutineConfig knobs;
@@ -109,7 +130,7 @@ void run_bicg() {
         ctx, MatrixView<const float>(a.data(), n, n),
         VectorView<const float>(p.data(), n),
         VectorView<const float>(r.data(), n));
-    const double ts = seconds(streaming.cycles, f_str);
+    const double ts = seconds(b.ctx.total_cycles(), f_str);
     const double th = seconds(host.cycles, f_host);
     t.add_row({std::to_string(n) + "x" + std::to_string(n),
                TablePrinter::fmt_time(ts), TablePrinter::fmt_time(th),
@@ -142,10 +163,14 @@ void run_gemver() {
     auto cv = [n](const std::vector<float>& vec) {
       return VectorView<const float>(vec.data(), n);
     };
-    const auto streaming = apps::gemver_streaming<float>(
-        dev, Mode::Cycle, 16, 64, 1.5f, 0.5f,
-        MatrixView<const float>(a.data(), n, n), cv(u1), cv(v1), cv(u2),
-        cv(v2), cv(y), cv(z));
+    Board b(sim::DeviceId::Stratix10);
+    auto bB = b.zeros(n * n, 1);
+    auto bx = b.zeros(n, 2);
+    auto bw = b.zeros(n, 3);
+    apps::gemver_composed<float>(b.ctx, n, 1.5f, 0.5f, b.upload(a, 0),
+                                 b.upload(u1, 1), b.upload(v1, 2),
+                                 b.upload(u2, 3), b.upload(v2, 1),
+                                 b.upload(y, 2), b.upload(z, 3), bB, bx, bw);
     host::Device hdev(sim::DeviceId::Stratix10);
     host::Context ctx(hdev, Mode::Cycle);
     host::RoutineConfig knobs;
@@ -156,7 +181,7 @@ void run_gemver() {
     const auto host = apps::gemver_host_layer<float>(
         ctx, 1.5f, 0.5f, MatrixView<const float>(a.data(), n, n), cv(u1),
         cv(v1), cv(u2), cv(v2), cv(y), cv(z));
-    const double ts = seconds(streaming.cycles, f_str);
+    const double ts = seconds(b.ctx.total_cycles(), f_str);
     const double th = seconds(host.cycles, f_host);
     t.add_row({std::to_string(n) + "x" + std::to_string(n),
                TablePrinter::fmt_time(ts), TablePrinter::fmt_time(th),
@@ -166,185 +191,6 @@ void run_gemver() {
   std::puts("Paper: speedup ~2-3; the two-component schedule cuts I/O from"
             " ~8N^2 to ~3N^2 and\ncompletion from ~5N^2 to ~2N^2 cycles"
             " despite sequentializing the components.\n");
-}
-
-// The generic MDAG compiler (host::Context::run_composition) must cost
-// nothing over the hand-wired pipelines it replaced: same readers, same
-// channel sizing, same fan-outs and zero generators — derived from the
-// graph instead of spelled out. Target: < 1% cycle drift per app.
-void run_compiled_parity() {
-  std::puts("== Composition compiler: cycle parity vs hand-wired designs ==");
-  TablePrinter t({"App", "Hand-wired cycles", "Compiled cycles", "Drift"});
-  const auto& dev = sim::stratix10();
-  const int width = 16;
-  const std::int64_t tile = 64;
-  double worst = 0.0;
-  auto row = [&](const char* name, std::uint64_t hand, std::uint64_t comp) {
-    const double drift =
-        hand == 0 ? 0.0
-                  : 100.0 * std::abs(static_cast<double>(comp) -
-                                     static_cast<double>(hand)) /
-                        static_cast<double>(hand);
-    worst = std::max(worst, drift);
-    t.add_row({name, TablePrinter::fmt_int(static_cast<std::int64_t>(hand)),
-               TablePrinter::fmt_int(static_cast<std::int64_t>(comp)),
-               TablePrinter::fmt(drift, 3) + "%"});
-  };
-  auto make_ctx = [&] {
-    host::RoutineConfig knobs;
-    knobs.width = width;
-    knobs.tile_rows = tile;
-    knobs.tile_cols = tile;
-    return knobs;
-  };
-
-  {  // AXPYDOT
-    const std::int64_t n = 1 << 15;
-    Workload wl(15);
-    auto w = wl.vector<float>(n);
-    auto v = wl.vector<float>(n);
-    auto u = wl.vector<float>(n);
-    const auto hand = apps::axpydot_streaming<float>(
-        dev, Mode::Cycle, width, VectorView<const float>(w.data(), n),
-        VectorView<const float>(v.data(), n),
-        VectorView<const float>(u.data(), n), 2.0f);
-    host::Device hdev(sim::DeviceId::Stratix10);
-    host::Context ctx(hdev, Mode::Cycle);
-    host::ConfigGuard scoped = ctx.with(make_ctx());
-    host::Buffer<float> bw(hdev, n, 0);
-    host::Buffer<float> bv(hdev, n, 1 % hdev.bank_count());
-    host::Buffer<float> bu(hdev, n, 2 % hdev.bank_count());
-    bw.write(w);
-    bv.write(v);
-    bu.write(u);
-    apps::axpydot_composed<float>(ctx, n, bw, bv, bu, 2.0f);
-    row("AXPYDOT", hand.cycles, ctx.total_cycles());
-  }
-
-  {  // ATAX (compiler sizes the A channel to the Sec. V-B bound itself)
-    const std::int64_t n = 256, m = 256;
-    Workload wl(16);
-    auto a = wl.matrix<float>(n, m);
-    auto x = wl.vector<float>(m);
-    const auto hand = apps::atax_streaming<float>(
-        dev, Mode::Cycle, width, tile,
-        apps::atax_min_channel_depth(m, tile, width),
-        MatrixView<const float>(a.data(), n, m),
-        VectorView<const float>(x.data(), m));
-    host::Device hdev(sim::DeviceId::Stratix10);
-    host::Context ctx(hdev, Mode::Cycle);
-    host::ConfigGuard scoped = ctx.with(make_ctx());
-    host::Buffer<float> ba(hdev, n * m, 0);
-    host::Buffer<float> bx(hdev, m, 1 % hdev.bank_count());
-    host::Buffer<float> by(hdev, m, 2 % hdev.bank_count());
-    ba.write(a);
-    bx.write(x);
-    by.write(std::vector<float>(static_cast<std::size_t>(m), 0.0f));
-    apps::atax_composed<float>(ctx, n, m, ba, bx, by);
-    row("ATAX", hand.cycles, ctx.total_cycles());
-  }
-
-  {  // BICG
-    const std::int64_t n = 256, m = 256;
-    Workload wl(17);
-    auto a = wl.matrix<float>(n, m);
-    auto p = wl.vector<float>(m);
-    auto r = wl.vector<float>(n);
-    const auto hand = apps::bicg_streaming<float>(
-        dev, Mode::Cycle, width, tile, MatrixView<const float>(a.data(), n, m),
-        VectorView<const float>(p.data(), m),
-        VectorView<const float>(r.data(), n));
-    host::Device hdev(sim::DeviceId::Stratix10);
-    host::Context ctx(hdev, Mode::Cycle);
-    host::ConfigGuard scoped = ctx.with(make_ctx());
-    host::Buffer<float> ba(hdev, n * m, 0);
-    host::Buffer<float> bp(hdev, m, 1 % hdev.bank_count());
-    host::Buffer<float> br(hdev, n, 2 % hdev.bank_count());
-    host::Buffer<float> bq(hdev, n, 3 % hdev.bank_count());
-    host::Buffer<float> bs(hdev, m, 3 % hdev.bank_count());
-    ba.write(a);
-    bp.write(p);
-    br.write(r);
-    bq.write(std::vector<float>(static_cast<std::size_t>(n), 0.0f));
-    bs.write(std::vector<float>(static_cast<std::size_t>(m), 0.0f));
-    apps::bicg_composed<float>(ctx, n, m, ba, bp, br, bq, bs);
-    row("BICG", hand.cycles, ctx.total_cycles());
-  }
-
-  {  // GESUMMV (non-multitree kept streaming by channel sizing)
-    const std::int64_t n = 256, m = 256;
-    Workload wl(18);
-    auto a = wl.matrix<float>(n, m);
-    auto b = wl.matrix<float>(n, m);
-    auto x = wl.vector<float>(m);
-    const auto hand = apps::gesummv_streaming<float>(
-        dev, Mode::Cycle, width, tile, 1.5f, -0.5f,
-        MatrixView<const float>(a.data(), n, m),
-        MatrixView<const float>(b.data(), n, m),
-        VectorView<const float>(x.data(), m));
-    host::Device hdev(sim::DeviceId::Stratix10);
-    host::Context ctx(hdev, Mode::Cycle);
-    host::ConfigGuard scoped = ctx.with(make_ctx());
-    host::Buffer<float> ba(hdev, n * m, 0);
-    host::Buffer<float> bb(hdev, n * m, 1 % hdev.bank_count());
-    host::Buffer<float> bx(hdev, m, 2 % hdev.bank_count());
-    host::Buffer<float> by(hdev, n, 3 % hdev.bank_count());
-    ba.write(a);
-    bb.write(b);
-    bx.write(x);
-    by.write(std::vector<float>(static_cast<std::size_t>(n), 0.0f));
-    apps::gesummv_composed<float>(ctx, n, m, 1.5f, -0.5f, ba, bb, bx, by);
-    row("GESUMMV", hand.cycles, ctx.total_cycles());
-  }
-
-  {  // GEMVER (Fig. 9 two-component split, B and x round-trip DRAM)
-    const std::int64_t n = 256;
-    Workload wl(19);
-    auto a = wl.matrix<float>(n, n);
-    auto u1 = wl.vector<float>(n);
-    auto v1 = wl.vector<float>(n);
-    auto u2 = wl.vector<float>(n);
-    auto v2 = wl.vector<float>(n);
-    auto y = wl.vector<float>(n);
-    auto z = wl.vector<float>(n);
-    auto cv = [n](const std::vector<float>& vec) {
-      return VectorView<const float>(vec.data(), n);
-    };
-    const auto hand = apps::gemver_streaming<float>(
-        dev, Mode::Cycle, width, tile, 1.5f, 0.5f,
-        MatrixView<const float>(a.data(), n, n), cv(u1), cv(v1), cv(u2),
-        cv(v2), cv(y), cv(z));
-    host::Device hdev(sim::DeviceId::Stratix10);
-    host::Context ctx(hdev, Mode::Cycle);
-    host::ConfigGuard scoped = ctx.with(make_ctx());
-    const int banks = hdev.bank_count();
-    host::Buffer<float> ba(hdev, n * n, 0);
-    host::Buffer<float> bu1(hdev, n, 1 % banks), bv1(hdev, n, 2 % banks);
-    host::Buffer<float> bu2(hdev, n, 3 % banks), bv2(hdev, n, 1 % banks);
-    host::Buffer<float> byv(hdev, n, 2 % banks), bz(hdev, n, 3 % banks);
-    host::Buffer<float> bB(hdev, n * n, 1 % banks);
-    host::Buffer<float> bx(hdev, n, 2 % banks), bwv(hdev, n, 3 % banks);
-    ba.write(a);
-    bu1.write(u1);
-    bv1.write(v1);
-    bu2.write(u2);
-    bv2.write(v2);
-    byv.write(y);
-    bz.write(z);
-    const std::vector<float> zn(static_cast<std::size_t>(n), 0.0f);
-    bB.write(std::vector<float>(static_cast<std::size_t>(n * n), 0.0f));
-    bx.write(zn);
-    bwv.write(zn);
-    apps::gemver_composed<float>(ctx, n, 1.5f, 0.5f, ba, bu1, bv1, bu2, bv2,
-                                 byv, bz, bB, bx, bwv);
-    row("GEMVER", hand.cycles, ctx.total_cycles());
-  }
-
-  t.print();
-  std::printf("Worst drift %.3f%% (target < 1%%): the compiled plans spawn"
-              " the same module\npipelines the hand-wired versions did —"
-              " the graph description costs nothing.\n\n",
-              worst);
 }
 
 void run_analysis() {
@@ -383,29 +229,38 @@ void run_analysis() {
     std::printf("  %-8s %.0f%% fewer ALMs than the one-by-one designs\n",
                 name, 100.0 * cmp.saving_fraction);
   }
-  // The ATAX deadlock, demonstrated live.
+  // The ATAX deadlock, demonstrated live: the compiled composition with
+  // its direct A channel pinned below, then at, the M*TN bound.
   Workload wl(14);
   const std::int64_t an = 64, am = 48, tile = 16;
-  auto a = wl.matrix<float>(an, am);
-  auto x = wl.vector<float>(am);
+  const auto ha = wl.matrix<float>(an, am);
+  const auto hx = wl.vector<float>(am);
+  // One board per run: a deadlocked command fails its buffers' later users.
+  auto run_atax = [&](std::int64_t depth) {
+    host::Device hdev;
+    host::Context ctx(hdev);
+    ctx.config().width = 4;
+    ctx.config().tile_rows = tile;
+    ctx.config().tile_cols = tile;
+    host::Buffer<float> ba(hdev, an * am, 0), bx(hdev, am, 1), by(hdev, am, 2);
+    ba.write(ha);
+    bx.write(hx);
+    auto c = apps::atax_composition<float>(ctx, an, am, ba, bx, by);
+    c.pin_channel_depth(apps::kAtaxDirectAEdge, depth);
+    ctx.run_composition(c);
+    return by.to_host();
+  };
   bool deadlocked = false;
   try {
-    apps::atax_streaming<float>(sim::stratix10(), Mode::Functional, 4, tile,
-                                /*a_channel_depth=*/tile,
-                                MatrixView<const float>(a.data(), an, am),
-                                VectorView<const float>(x.data(), am));
+    run_atax(tile);
   } catch (const DeadlockError&) {
     deadlocked = true;
   }
-  const auto ok = apps::atax_streaming<float>(
-      sim::stratix10(), Mode::Functional, 4, tile,
-      apps::atax_min_channel_depth(am, tile, 4),
-      MatrixView<const float>(a.data(), an, am),
-      VectorView<const float>(x.data(), am));
+  const auto y = run_atax(am * tile);
   std::printf("\nATAX live check: undersized A channel -> %s;"
               " channel >= M*TN -> completes (%zu outputs).\n",
               deadlocked ? "stalls forever (DeadlockError)" : "UNEXPECTED",
-              ok.y.size());
+              y.size());
 }
 
 }  // namespace
@@ -415,7 +270,6 @@ int main() {
   run_axpydot();
   run_bicg();
   run_gemver();
-  run_compiled_parity();
   run_analysis();
   return 0;
 }

@@ -1,7 +1,8 @@
 // Streaming composition walkthrough (Sec. V): builds the AXPYDOT, BICG,
 // ATAX and GEMVER module DAGs, analyzes their validity and I/O volume,
-// and runs the streaming versions against the host-layer baselines in
-// the cycle-accurate simulator.
+// and runs the compiled streaming versions (apps::*_composed) against the
+// host-layer baselines in the cycle-accurate simulator. The ATAX section
+// pins the direct A channel's depth to show the Sec. V-B deadlock.
 //
 // Build & run:  ./build/examples/streaming_composition
 #include <cstdio>
@@ -45,12 +46,16 @@ int main() {
     auto w = wl.vector<float>(len);
     auto v = wl.vector<float>(len);
     auto u = wl.vector<float>(len);
-    const auto streaming = apps::axpydot_streaming<float>(
-        sim::stratix10(), stream::Mode::Cycle, 16,
-        VectorView<const float>(w.data(), len),
-        VectorView<const float>(v.data(), len),
-        VectorView<const float>(u.data(), len), 2.0f);
     host::Device dev(sim::DeviceId::Stratix10);
+    host::Buffer<float> bw(dev, len, 0), bv(dev, len, 1), bu(dev, len, 2);
+    bw.write(w);
+    bv.write(v);
+    bu.write(u);
+    host::Context sctx(dev, stream::Mode::Cycle);
+    sctx.config().width = 16;
+    const float beta = apps::axpydot_composed<float>(sctx, len, bw, bv, bu,
+                                                     2.0f);
+    const std::uint64_t streaming_cycles = sctx.total_cycles();
     host::Context ctx(dev, stream::Mode::Cycle);
     host::RoutineConfig knobs;
     knobs.width = 16;
@@ -59,26 +64,40 @@ int main() {
         ctx, VectorView<const float>(w.data(), len),
         VectorView<const float>(v.data(), len),
         VectorView<const float>(u.data(), len), 2.0f);
-    std::printf("beta = %.4f (both versions agree: %s)\n", streaming.beta,
-                std::abs(streaming.beta - host.beta) < 1e-2 ? "yes" : "NO");
+    std::printf("beta = %.4f (both versions agree: %s)\n", beta,
+                std::abs(beta - host.beta) < 1e-2 ? "yes" : "NO");
     std::printf("streaming: %llu cycles   host layer: %llu cycles   "
                 "speedup %.2fx\n",
-                static_cast<unsigned long long>(streaming.cycles),
+                static_cast<unsigned long long>(streaming_cycles),
                 static_cast<unsigned long long>(host.cycles),
                 static_cast<double>(host.cycles) /
-                    static_cast<double>(streaming.cycles));
+                    static_cast<double>(streaming_cycles));
   }
 
   std::puts("\n== ATAX: why channel depth matters (Sec. V-B) ==");
   {
     const std::int64_t an = 64, am = 48, atile = 16;
-    auto a = wl.matrix<float>(an, am);
-    auto x = wl.vector<float>(am);
+    const auto ha = wl.matrix<float>(an, am);
+    const auto hx = wl.vector<float>(am);
+    // The compiled composition with the direct A channel pinned by hand,
+    // on a fresh board per run (a deadlocked command fails its buffers'
+    // later users).
+    auto atax = [&](std::int64_t depth) {
+      host::Device dev;
+      host::Context ctx(dev);
+      ctx.config().width = 4;
+      ctx.config().tile_rows = atile;
+      ctx.config().tile_cols = atile;
+      host::Buffer<float> a(dev, an * am, 0), x(dev, am, 1), y(dev, am, 2);
+      a.write(ha);
+      x.write(hx);
+      auto c = apps::atax_composition<float>(ctx, an, am, a, x, y);
+      c.pin_channel_depth(apps::kAtaxDirectAEdge, depth);
+      ctx.run_composition(c);
+      return y.to_host();
+    };
     try {
-      apps::atax_streaming<float>(sim::stratix10(), stream::Mode::Functional,
-                                  4, atile, /*a_channel_depth=*/atile,
-                                  MatrixView<const float>(a.data(), an, am),
-                                  VectorView<const float>(x.data(), am));
+      atax(atile);
       std::puts("unexpected: undersized channel completed");
     } catch (const DeadlockError& e) {
       std::puts("undersized A channel -> DeadlockError, as predicted:");
@@ -86,13 +105,10 @@ int main() {
       const std::string msg = e.what();
       std::printf("  %s\n", msg.substr(0, msg.find('\n')).c_str());
     }
-    const auto depth = apps::atax_min_channel_depth(am, atile, 4);
-    const auto ok = apps::atax_streaming<float>(
-        sim::stratix10(), stream::Mode::Functional, 4, atile, depth,
-        MatrixView<const float>(a.data(), an, am),
-        VectorView<const float>(x.data(), am));
+    const std::int64_t depth = am * atile;
+    const auto y = atax(depth);
     std::printf("channel sized to M*TN (= %lld): completes, y[0] = %.4f\n",
-                static_cast<long long>(depth), ok.y[0]);
+                static_cast<long long>(depth), y[0]);
   }
 
   std::puts("\n== GEMVER: two-component schedule (Fig. 9) ==");
@@ -108,16 +124,27 @@ int main() {
     auto cv = [gn](const std::vector<float>& vec) {
       return VectorView<const float>(vec.data(), gn);
     };
-    const auto streaming = apps::gemver_streaming<float>(
-        sim::stratix10(), stream::Mode::Cycle, 16, gtile, 1.5f, 0.5f,
-        MatrixView<const float>(a.data(), gn, gn), cv(u1), cv(v1), cv(u2),
-        cv(v2), cv(y), cv(z));
+    host::Device dev(sim::DeviceId::Stratix10);
+    host::Context ctx(dev, stream::Mode::Cycle);
+    ctx.config().width = 16;
+    ctx.config().tile_rows = gtile;
+    ctx.config().tile_cols = gtile;
+    auto upload = [&](const std::vector<float>& h, int bank) {
+      host::Buffer<float> b(dev, static_cast<std::int64_t>(h.size()), bank);
+      b.write(h);
+      return b;
+    };
+    host::Buffer<float> bB(dev, gn * gn, 1), bx(dev, gn, 2), bw(dev, gn, 3);
+    apps::gemver_composed<float>(ctx, gn, 1.5f, 0.5f, upload(a, 0),
+                                 upload(u1, 1), upload(v1, 2), upload(u2, 3),
+                                 upload(v2, 1), upload(y, 2), upload(z, 3),
+                                 bB, bx, bw);
     const auto cpu = apps::gemver_cpu<float>(
         1.5f, 0.5f, MatrixView<const float>(a.data(), gn, gn), cv(u1),
         cv(v1), cv(u2), cv(v2), cv(y), cv(z));
     std::printf("2 components, %llu total cycles; w matches CPU: %s\n",
-                static_cast<unsigned long long>(streaming.cycles),
-                rel_error(streaming.w, cpu.w) < 1e-3 ? "yes" : "NO");
+                static_cast<unsigned long long>(ctx.total_cycles()),
+                rel_error(bw.to_host(), cpu.w) < 1e-3 ? "yes" : "NO");
   }
   return 0;
 }

@@ -4,18 +4,18 @@
 // vertex-disjoint paths from the A reader to the transposed GEMV. The
 // composition stalls forever unless the direct A channel can buffer an
 // entire row of tiles (>= M*TN elements); with dynamic N it is invalid.
-// The fallback splits the MDAG: each GEMV reads A independently (same
-// I/O as the non-streamed version, but still pipelined).
+// The composition compiler sizes that channel when it fits the channel
+// budget and otherwise splits the MDAG: each GEMV reads A independently
+// (same I/O as the non-streamed version), and q round-trips DRAM.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -25,63 +25,41 @@ struct AtaxResult {
   std::uint64_t cycles = 0;
 };
 
-/// Fully-streaming composition with a caller-chosen depth for the direct
-/// A channel into the transposed GEMV. Depths below M*TN elements
-/// deadlock (stream::DeadlockError), reproducing the paper's analysis;
-/// depths >= M*TN complete.
-template <typename T>
-AtaxResult<T> atax_streaming(const sim::DeviceSpec& dev, stream::Mode mode,
-                             int width, std::int64_t tile,
-                             std::int64_t a_channel_depth,
-                             MatrixView<const T> A, VectorView<const T> x);
-
-/// Minimum direct-channel depth that makes the full streaming
-/// composition valid for an n x m matrix (one full row of tiles plus the
-/// fan-out slack).
-std::int64_t atax_min_channel_depth(std::int64_t m, std::int64_t tile,
-                                    int width);
-
-/// Split composition: the two GEMVs read A independently and the
-/// intermediate vector round-trips DRAM.
-template <typename T>
-AtaxResult<T> atax_split(const sim::DeviceSpec& dev, stream::Mode mode,
-                         int width, std::int64_t tile, MatrixView<const T> A,
-                         VectorView<const T> x);
-
-/// Plan-driven execution: consults the automatic MDAG planner
-/// (mdag/auto_partition) and runs either the fully-streaming composition
-/// with the planner's channel sizing (when the lag fits
-/// `max_channel_depth`) or the split schedule.
-template <typename T>
-AtaxResult<T> atax_auto(const sim::DeviceSpec& dev, stream::Mode mode,
-                        int width, std::int64_t tile,
-                        std::int64_t max_channel_depth,
-                        MatrixView<const T> A, VectorView<const T> x);
-
 /// Host-layer baseline: two GEMV launches through the Context.
 template <typename T>
 AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
                               VectorView<const T> x);
 
-/// Fully-streaming composition as ONE host command: the whole two-GEMV
-/// graph runs inside a single Command, so the intermediate q never
-/// round-trips DRAM, yet the command still gets the executor's full
+/// The fully-streaming ATAX description: one A reader feeding both GEMVs
+/// and q chained straight into the transposed GEMV. `a` is n x m
+/// row-major, `x` length m, `y` length m; width and tiling come from
+/// `ctx.config()`. The compiler sizes the direct A channel (edge
+/// `kAtaxDirectAEdge`) to one full row of tiles, or splits the graph when
+/// the composition's channel budget cannot hold it; pinning that edge's
+/// depth (`Composition::pin_channel_depth`) reproduces the Sec. V-B
+/// deadlock.
+template <typename T>
+host::Composition<T> atax_composition(const host::Context& ctx,
+                                      std::int64_t n, std::int64_t m,
+                                      const host::Buffer<T>& a,
+                                      const host::Buffer<T>& x,
+                                      host::Buffer<T>& y);
+/// Edge id of the direct A channel (read_A -> gemv_T) in
+/// atax_composition.
+inline constexpr int kAtaxDirectAEdge = 1;
+
+/// The composition as ONE host command: the intermediate q never
+/// round-trips DRAM, yet the command gets the executor's full
 /// fault-tolerance ladder (snapshot, rollback, retry, CPU fallback) and —
-/// when the captured verify::Options enable it — end-to-end checksum
-/// verification of every streaming edge via verify::GraphChecker, which
-/// localizes silent mid-pipeline corruption to the first divergent
-/// channel. `a` is n x m row-major, `x` length m, `y` length m.
+/// when the captured verify::Options enable it — per-edge checksum
+/// verification that localizes silent mid-pipeline corruption to the
+/// first divergent channel.
 template <typename T>
 host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
                                 std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& x, host::Buffer<T>& y);
-/// Same, with a per-call verification override (scoped via ConfigGuard —
-/// knobs are captured at enqueue, so only this command is affected).
-template <typename T>
-host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& x, host::Buffer<T>& y,
-                                const verify::Options& vo);
+                                const host::Buffer<T>& x, host::Buffer<T>& y) {
+  return ctx.run_composition_async(atax_composition<T>(ctx, n, m, a, x, y));
+}
 template <typename T>
 void atax_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                    const host::Buffer<T>& a, const host::Buffer<T>& x,

@@ -10,10 +10,9 @@
 #include <cstdint>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -23,14 +22,6 @@ struct AxpydotResult {
   std::uint64_t cycles = 0;  ///< simulated cycles (cycle mode only)
 };
 
-/// Fully-streaming composition on a fresh graph.
-template <typename T>
-AxpydotResult<T> axpydot_streaming(const sim::DeviceSpec& dev,
-                                   stream::Mode mode, int width,
-                                   VectorView<const T> w,
-                                   VectorView<const T> v,
-                                   VectorView<const T> u, T alpha);
-
 /// Host-layer baseline: COPY + AXPY + DOT through the Context queue.
 /// Returns the summed cycle count of the three launches.
 template <typename T>
@@ -39,26 +30,30 @@ AxpydotResult<T> axpydot_host_layer(host::Context& ctx,
                                     VectorView<const T> v,
                                     VectorView<const T> u, T alpha);
 
-/// Streaming composition as ONE host command: AXPY chains into DOT on
-/// chip (z never materializes) and the result lands in `*beta`. The
-/// command gets the executor's fault-tolerance ladder and — when the
-/// captured verify::Options enable it — per-edge checksum verification
-/// (verify::GraphChecker): the z edge is predicted by the AXPY linearity
-/// rule, the beta edge by recomputing the bilinear DOT in double over the
-/// host operands. All vectors have length n.
+/// The streaming AXPYDOT description: AXPY chains into DOT on chip (z
+/// never materializes) and the result lands in `*beta`. All vectors have
+/// length n.
+template <typename T>
+host::Composition<T> axpydot_composition(std::int64_t n,
+                                         const host::Buffer<T>& w,
+                                         const host::Buffer<T>& v,
+                                         const host::Buffer<T>& u, T alpha,
+                                         T* beta);
+
+/// The composition as ONE host command, with the executor's
+/// fault-tolerance ladder and — when the captured verify::Options enable
+/// it — per-edge checksum verification: the z edge is predicted by the
+/// AXPY linearity rule, the beta edge by recomputing the bilinear DOT in
+/// double over the host operands.
 template <typename T>
 host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
                                    const host::Buffer<T>& w,
                                    const host::Buffer<T>& v,
                                    const host::Buffer<T>& u, T alpha,
-                                   T* beta);
-/// Same, with a per-call verification override (scoped via ConfigGuard).
-template <typename T>
-host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
-                                   const host::Buffer<T>& w,
-                                   const host::Buffer<T>& v,
-                                   const host::Buffer<T>& u, T alpha, T* beta,
-                                   const verify::Options& vo);
+                                   T* beta) {
+  return ctx.run_composition_async(
+      axpydot_composition<T>(n, w, v, u, alpha, beta));
+}
 template <typename T>
 T axpydot_composed(host::Context& ctx, std::int64_t n,
                    const host::Buffer<T>& w, const host::Buffer<T>& v,

@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -23,38 +22,36 @@ struct BicgResult {
   std::uint64_t cycles = 0;
 };
 
-/// Fully-streaming composition: one A reader feeding both GEMVs.
-template <typename T>
-BicgResult<T> bicg_streaming(const sim::DeviceSpec& dev, stream::Mode mode,
-                             int width, std::int64_t tile,
-                             MatrixView<const T> A, VectorView<const T> p,
-                             VectorView<const T> r);
-
 /// Host-layer baseline: two independent GEMV launches (A read twice).
 template <typename T>
 BicgResult<T> bicg_host_layer(host::Context& ctx, MatrixView<const T> A,
                               VectorView<const T> p, VectorView<const T> r);
 
-/// Streaming composition as ONE host command: A is read once and
-/// broadcast on chip, q and s land straight in their device buffers, and
-/// the command carries the executor's fault-tolerance ladder plus — when
-/// the captured verify::Options enable it — per-edge checksum
-/// verification (verify::GraphChecker) that localizes mid-pipeline
-/// corruption to the first divergent channel. `a` is n x m row-major,
-/// `p` length m, `r` length n, `q` length n, `s` length m.
+/// The streaming BICG description: A is read once and broadcast on chip
+/// to both GEMVs, and q and s land straight in their device buffers. `a`
+/// is n x m row-major, `p` length m, `r` length n, `q` length n, `s`
+/// length m; width and tiling come from `ctx.config()`.
+template <typename T>
+host::Composition<T> bicg_composition(const host::Context& ctx,
+                                      std::int64_t n, std::int64_t m,
+                                      const host::Buffer<T>& a,
+                                      const host::Buffer<T>& p,
+                                      const host::Buffer<T>& r,
+                                      host::Buffer<T>& q, host::Buffer<T>& s);
+
+/// The composition as ONE host command, with the executor's
+/// fault-tolerance ladder and — when the captured verify::Options enable
+/// it — per-edge checksum verification that localizes mid-pipeline
+/// corruption to the first divergent channel.
 template <typename T>
 host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
                                 std::int64_t m, const host::Buffer<T>& a,
                                 const host::Buffer<T>& p,
                                 const host::Buffer<T>& r, host::Buffer<T>& q,
-                                host::Buffer<T>& s);
-/// Same, with a per-call verification override (scoped via ConfigGuard).
-template <typename T>
-host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& p,
-                                const host::Buffer<T>& r, host::Buffer<T>& q,
-                                host::Buffer<T>& s, const verify::Options& vo);
+                                host::Buffer<T>& s) {
+  return ctx.run_composition_async(
+      bicg_composition<T>(ctx, n, m, a, p, r, q, s));
+}
 template <typename T>
 void bicg_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                    const host::Buffer<T>& a, const host::Buffer<T>& p,

@@ -11,10 +11,9 @@
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -23,25 +22,8 @@ struct GemverResult {
   std::vector<T> b;  ///< n x n
   std::vector<T> x;  ///< n
   std::vector<T> w;  ///< n
-  std::uint64_t cycles = 0;  ///< sum over the two components
+  std::uint64_t cycles = 0;  ///< sum over the host-layer launches
 };
-
-struct GemverInputs {
-  // All operands are length-n vectors except A (n x n), alpha and beta.
-};
-
-/// Two-component streaming schedule.
-template <typename T>
-GemverResult<T> gemver_streaming(const sim::DeviceSpec& dev,
-                                 stream::Mode mode, int width,
-                                 std::int64_t tile, T alpha, T beta,
-                                 MatrixView<const T> A,
-                                 VectorView<const T> u1,
-                                 VectorView<const T> v1,
-                                 VectorView<const T> u2,
-                                 VectorView<const T> v2,
-                                 VectorView<const T> y,
-                                 VectorView<const T> z);
 
 /// Host-layer baseline: COPY + GER + GER + GEMV^T + GEMV, one by one.
 template <typename T>
@@ -54,21 +36,22 @@ GemverResult<T> gemver_host_layer(host::Context& ctx, T alpha, T beta,
                                   VectorView<const T> y,
                                   VectorView<const T> z);
 
-/// Fault-tolerant composed command through the generic MDAG compiler
-/// (rollback / retry / CPU-fallback ladder, per-FIFO checksum taps).
-/// The compiler derives the Fig. 9 two-component schedule itself:
-/// `prefer_split` cuts B and x through DRAM instead of buffering B on
-/// chip. `a` is n x n row-major; every vector is length n; `b` (n x n),
-/// `x` and `w` receive the results.
+/// The GEMVER description. The compiler derives the Fig. 9
+/// two-component schedule itself: `prefer_split` cuts B and x through
+/// DRAM instead of buffering B on chip. `a` is n x n row-major; every
+/// vector is length n; `b` (n x n), `x` and `w` receive the results;
+/// width and tiling come from `ctx.config()`.
 template <typename T>
-host::Event gemver_composed_async(
-    host::Context& ctx, std::int64_t n, T alpha, T beta,
+host::Composition<T> gemver_composition(
+    const host::Context& ctx, std::int64_t n, T alpha, T beta,
     const host::Buffer<T>& a, const host::Buffer<T>& u1,
     const host::Buffer<T>& v1, const host::Buffer<T>& u2,
     const host::Buffer<T>& v2, const host::Buffer<T>& y,
     const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
     host::Buffer<T>& w);
-/// Same, with a per-call verification override.
+
+/// The composition as ONE fault-tolerant host command (rollback / retry /
+/// CPU-fallback ladder, per-FIFO checksum taps).
 template <typename T>
 host::Event gemver_composed_async(
     host::Context& ctx, std::int64_t n, T alpha, T beta,
@@ -76,7 +59,10 @@ host::Event gemver_composed_async(
     const host::Buffer<T>& v1, const host::Buffer<T>& u2,
     const host::Buffer<T>& v2, const host::Buffer<T>& y,
     const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
-    host::Buffer<T>& w, const verify::Options& vo);
+    host::Buffer<T>& w) {
+  return ctx.run_composition_async(gemver_composition<T>(
+      ctx, n, alpha, beta, a, u1, v1, u2, v2, y, z, b, x, w));
+}
 template <typename T>
 void gemver_composed(host::Context& ctx, std::int64_t n, T alpha, T beta,
                      const host::Buffer<T>& a, const host::Buffer<T>& u1,

@@ -20,10 +20,9 @@
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -33,15 +32,6 @@ struct GesummvResult {
   std::uint64_t cycles = 0;
 };
 
-/// Fully-streaming composition (two GEMVs + on-chip ADD).
-template <typename T>
-GesummvResult<T> gesummv_streaming(const sim::DeviceSpec& dev,
-                                   stream::Mode mode, int width,
-                                   std::int64_t tile, T alpha, T beta,
-                                   MatrixView<const T> A,
-                                   MatrixView<const T> B,
-                                   VectorView<const T> x);
-
 /// Host-layer baseline: GEMV, GEMV, AXPY through the Context.
 template <typename T>
 GesummvResult<T> gesummv_host_layer(host::Context& ctx, T alpha, T beta,
@@ -49,27 +39,32 @@ GesummvResult<T> gesummv_host_layer(host::Context& ctx, T alpha, T beta,
                                     MatrixView<const T> B,
                                     VectorView<const T> x);
 
-/// Fault-tolerant composed command through the generic MDAG compiler.
-/// The compiler proves the non-multitree streams with bounded channels
-/// (equal first-output lag on the two sibling x-paths), synthesizes the
-/// x broadcast and both zero y0 streams, and taps every FIFO. `a` and
-/// `b` are n x m row-major, `x` length m, `y` length n.
+/// The streaming GESUMMV description (two GEMVs + on-chip ADD). The
+/// compiler proves the non-multitree streams with bounded channels (equal
+/// first-output lag on the two sibling x-paths), synthesizes the x
+/// broadcast and both zero y0 streams, and taps every FIFO. `a` and `b`
+/// are n x m row-major, `x` length m, `y` length n; width and tiling come
+/// from `ctx.config()`.
+template <typename T>
+host::Composition<T> gesummv_composition(const host::Context& ctx,
+                                         std::int64_t n, std::int64_t m,
+                                         T alpha, T beta,
+                                         const host::Buffer<T>& a,
+                                         const host::Buffer<T>& b,
+                                         const host::Buffer<T>& x,
+                                         host::Buffer<T>& y);
+
+/// The composition as ONE fault-tolerant host command.
 template <typename T>
 host::Event gesummv_composed_async(host::Context& ctx, std::int64_t n,
                                    std::int64_t m, T alpha, T beta,
                                    const host::Buffer<T>& a,
                                    const host::Buffer<T>& b,
                                    const host::Buffer<T>& x,
-                                   host::Buffer<T>& y);
-/// Same, with a per-call verification override.
-template <typename T>
-host::Event gesummv_composed_async(host::Context& ctx, std::int64_t n,
-                                   std::int64_t m, T alpha, T beta,
-                                   const host::Buffer<T>& a,
-                                   const host::Buffer<T>& b,
-                                   const host::Buffer<T>& x,
-                                   host::Buffer<T>& y,
-                                   const verify::Options& vo);
+                                   host::Buffer<T>& y) {
+  return ctx.run_composition_async(
+      gesummv_composition<T>(ctx, n, m, alpha, beta, a, b, x, y));
+}
 template <typename T>
 void gesummv_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                       T alpha, T beta, const host::Buffer<T>& a,

@@ -1,9 +1,9 @@
 // Context::run_composition — the generic interpreter behind the
-// composition compiler. Everything the per-app composed paths used to
-// hand-wire (channel creation, module spawning, fan-outs, zero inputs,
-// DRAM round trips for cut edges, checksum predictions, the refblas
-// fallback) is derived here from mdag::Compiled, so an app is nothing
-// but a host::Composition description.
+// composition compiler. Everything a composition needs at run time
+// (channel creation, module spawning, fan-outs, zero inputs, DRAM round
+// trips for cut edges, checksum predictions, the refblas fallback) is
+// derived here from mdag::Compiled, so an app is nothing but a
+// host::Composition description.
 //
 // Execution of one composition is ONE command on the fault-tolerance
 // ladder: retries roll the write set back, verification compares every

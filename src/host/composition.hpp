@@ -17,6 +17,8 @@
 // enqueued command. mdag::compile() decides how it executes — channel
 // sizing, sequential splits, DRAM round trips, fan-outs, zero inputs and
 // the checksum tap plan all come from the compiler, never from the app.
+// The one exception is pin_channel_depth(), which fixes one edge's FIFO
+// depth by hand (to reproduce a deadlock, or to probe a sizing bound).
 #pragma once
 
 #include <cstdint>
@@ -167,6 +169,19 @@ class Composition {
   /// buffering B on chip).
   Composition& prefer_split(bool on = true) {
     prefer_split_ = on;
+    return *this;
+  }
+  /// Pins the FIFO depth of `edge` (an id returned by connect). The
+  /// compiler gives that channel exactly `depth` elements and neither
+  /// sizes it, splits the graph around it, nor rejects it: a pin below
+  /// the Sec. V lag makes the run throw DeadlockError (the ATAX demo:
+  /// pinning the direct A channel under M*TN stalls forever). A pin < 1,
+  /// or a pin on an edge the plan cuts through DRAM, is a ConfigError at
+  /// enqueue.
+  Composition& pin_channel_depth(int edge, std::int64_t depth) {
+    FBLAS_REQUIRE(edge >= 0 && edge < static_cast<int>(graph_.edges().size()),
+                  "composition: no edge " + std::to_string(edge) + " to pin");
+    graph_.edge(edge).channel_depth = depth;
     return *this;
   }
 

@@ -102,9 +102,11 @@ Plan derive_plan(const Mdag& g, const PlanOptions& options) {
   // Option (a): size the offending channels.
   if (options.prefer_sizing) {
     const auto sizings = required_channel_depths(g);
+    // A pinned channel is the caller's choice, not the budget's.
     const bool fits = std::all_of(
         sizings.begin(), sizings.end(), [&](const ChannelSizing& s) {
-          return s.min_depth <= options.max_channel_depth;
+          return s.min_depth <= options.max_channel_depth ||
+                 g.edge(s.edge).channel_depth.has_value();
         });
     if (fits && !sizings.empty()) {
       Component all;

@@ -45,7 +45,8 @@ struct Plan {
 
 struct PlanOptions {
   /// Largest FIFO the planner may allocate on chip, in elements. Edges
-  /// whose lag exceeds this cannot be resolved by sizing (b) applies.
+  /// whose lag exceeds this cannot be resolved by sizing (b) applies,
+  /// unless their depth is pinned (Edge::channel_depth).
   std::int64_t max_channel_depth = 1 << 16;
   /// When true the planner prefers sizing channels over splitting, as
   /// long as the depth budget allows it.

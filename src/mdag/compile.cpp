@@ -11,6 +11,9 @@
 namespace fblas::mdag {
 namespace {
 
+/// Smallest FIFO an unpinned edge channel gets.
+constexpr std::int64_t kMinEdgeDepth = 16;
+
 bool supported_compute(RoutineKind k) {
   switch (k) {
     case RoutineKind::Gemv:
@@ -156,6 +159,19 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     }
   }
 
+  const auto ename = [&](int e) {
+    const Edge& edge = g.edge(e);
+    return g.node(edge.from).name + "->" + g.node(edge.to).name;
+  };
+  for (int e = 0; e < ne; ++e) {
+    const auto& pin = g.edge(e).channel_depth;
+    if (pin && *pin < 1) {
+      throw ConfigError("compile: edge " + std::to_string(e) + " (" +
+                        ename(e) + ") pins channel depth " +
+                        std::to_string(*pin) + "; a pin must be >= 1");
+    }
+  }
+
   // ---- 1/2. Forced cuts, then validity + partition of what can stream.
   std::vector<bool> forced(static_cast<std::size_t>(ne), false);
   for (int e = 0; e < ne; ++e) {
@@ -254,6 +270,15 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     }
   }
 
+  for (int e = 0; e < ne; ++e) {
+    if (cp.edge_cut[static_cast<std::size_t>(e)] && g.edge(e).channel_depth) {
+      throw ConfigError("compile: edge " + std::to_string(e) + " (" +
+                        ename(e) +
+                        ") has a pinned channel depth, but the plan cuts it "
+                        "through DRAM");
+    }
+  }
+
   const bool needs_split =
       comps.size() > 1 ||
       std::any_of(cp.edge_cut.begin(), cp.edge_cut.end(),
@@ -303,10 +328,6 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
   }
 
   std::set<std::string> used_names;
-  const auto ename = [&](int e) {
-    const Edge& edge = g.edge(e);
-    return g.node(edge.from).name + "->" + g.node(edge.to).name;
-  };
 
   // Replication branches per producer: streamed out-edges plus scratch
   // spills. One branch streams directly; two go through the fanout2
@@ -352,9 +373,10 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     cp.zero_count.push_back(per_pass(out.produced));
   }
 
-  // Depths: the sized channels from the plan, a scalar FIFO for scalar
-  // edges, and a component-wide default otherwise (wider when a matrix
-  // streams through the component, matching the hand-tuned compositions).
+  // Depths: a pinned edge gets exactly its pin. Otherwise the sized
+  // channels from the plan, a scalar FIFO for scalar edges, and a
+  // component-wide default (wider when a matrix streams through the
+  // component), never below kMinEdgeDepth.
   std::vector<bool> comp_has_matrix(comps.size(), false);
   for (int e = 0; e < ne; ++e) {
     const Edge& edge = g.edge(e);
@@ -374,8 +396,8 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
   for (const ChannelSizing& s : cp.plan.sizings) {
     const int orig = sub_to_orig[static_cast<std::size_t>(s.edge)];
     if (!cp.edge_cut[static_cast<std::size_t>(orig)]) {
-      // Fan-out slack on top of the analysis bound, as the hand-tuned
-      // ATAX composition allocates.
+      // Fan-out slack on top of the analysis bound: the few elements the
+      // fanout2 stage holds in flight.
       sized[static_cast<std::size_t>(orig)] = s.min_depth + 4 * opts.width;
     }
   }
@@ -383,10 +405,10 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     if (cp.edge_cut[static_cast<std::size_t>(e)]) continue;
     const Edge& edge = g.edge(e);
     const int c = cp.component_of[static_cast<std::size_t>(edge.from)];
-    std::int64_t depth = std::max(sized[static_cast<std::size_t>(e)],
-                                  default_depth(c, edge.produced));
-    depth = std::max(depth, edge.channel_depth);
-    cp.edge_depth[static_cast<std::size_t>(e)] = depth;
+    cp.edge_depth[static_cast<std::size_t>(e)] =
+        edge.channel_depth.value_or(
+            std::max({sized[static_cast<std::size_t>(e)],
+                      default_depth(c, edge.produced), kMinEdgeDepth}));
     cp.edge_channel[static_cast<std::size_t>(e)] =
         unique_name(used_names, ename(e), e);
   }
@@ -436,8 +458,8 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
 
   // The frequency model sees the largest set of matrix modules resident
   // at once — a sequential split reconfigures between components, so the
-  // count is the per-component maximum, not the whole-graph total (the
-  // hand-tuned GEMVER clocks both of its graphs at the 3-module point).
+  // count is the per-component maximum, not the whole-graph total (GEMVER
+  // clocks both of its components at the 3-module point).
   for (std::size_t c = 0; c < comps.size(); ++c) {
     int k = 0;
     for (int u : comps[c]) {

@@ -2,8 +2,8 @@
 // executable streaming plan (Sec. V generalized beyond the paper's three
 // worked examples).
 //
-// compile() takes an annotated module DAG and derives everything the host
-// runtime previously hand-wired per app:
+// compile() takes an annotated module DAG and derives everything a
+// streaming composition needs to run:
 //
 //   1. validity    — edge signature checks and the multitree analysis,
 //                    via derive_plan(); an unexecutable graph is rejected
@@ -15,13 +15,15 @@
 //                    computational modules, Sec. V-C) are *forced cuts*:
 //                    they always materialize through DRAM and sequence
 //                    their endpoints into different components.
-//   3. lowering    — per-edge FIFO names and depths, synthesized fan-out
-//                    trunks (only 2-way replication modules exist),
-//                    synthesized zero generators for GEMV nodes built
-//                    without a y0 edge, and DRAM round-trips for cut
-//                    edges (reusing a sibling interface writer's buffer
-//                    when one carries the same stream, otherwise a scratch
-//                    buffer the runtime allocates).
+//   3. lowering    — per-edge FIFO names and depths (a pinned edge,
+//                    Edge::channel_depth, keeps exactly its pin),
+//                    synthesized fan-out trunks (only 2-way replication
+//                    modules exist), synthesized zero generators for
+//                    GEMV nodes built without a y0 edge, and DRAM
+//                    round-trips for cut edges (reusing a sibling
+//                    interface writer's buffer when one carries the same
+//                    stream, otherwise a scratch buffer the runtime
+//                    allocates).
 //   4. tap plan    — every FIFO of every component, in topological
 //                    declaration order, so a verify::GraphChecker can
 //                    localize a divergence to the first corrupted edge.
@@ -132,8 +134,9 @@ struct Compiled {
 /// Compiles an annotated MDAG into an executable plan. Throws ConfigError
 /// when the description cannot execute: edge-invalid signatures (via
 /// derive_plan), unsupported routine kinds, replication beyond the 2-way
-/// fan-out module, or — with allow_split = false — any graph that is not
-/// a single fully-streaming component.
+/// fan-out module, a pinned channel depth below 1 or on an edge the plan
+/// cuts, or — with allow_split = false — any graph that is not a single
+/// fully-streaming component.
 Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
                  const CompileOptions& opts = {});
 

@@ -56,7 +56,7 @@ int Mdag::add_compute(std::string name, RoutineKind kind, double latency) {
 }
 
 int Mdag::connect(int from, int to, StreamSig produced, StreamSig consumed,
-                  std::int64_t channel_depth) {
+                  std::optional<std::int64_t> channel_depth) {
   FBLAS_REQUIRE(from >= 0 && from < node_count() && to >= 0 &&
                     to < node_count(),
                 "edge endpoints must be existing nodes");
@@ -66,7 +66,7 @@ int Mdag::connect(int from, int to, StreamSig produced, StreamSig consumed,
 }
 
 int Mdag::connect(int from, int to, StreamSig sig,
-                  std::int64_t channel_depth) {
+                  std::optional<std::int64_t> channel_depth) {
   return connect(from, to, sig, sig, channel_depth);
 }
 

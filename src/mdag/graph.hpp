@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,11 @@ struct Edge {
   int to;
   StreamSig produced;   ///< what the producer emits
   StreamSig consumed;   ///< what the consumer expects
-  std::int64_t channel_depth = 16;  ///< FIFO capacity in elements
+  /// Pinned FIFO capacity in elements. Unset, mdag::compile sizes the
+  /// channel; set, the channel gets exactly this depth and the compiler
+  /// neither sizes, splits nor rejects it, so a pin below the edge's lag
+  /// deadlocks at run time.
+  std::optional<std::int64_t> channel_depth;
 };
 
 class Mdag {
@@ -67,10 +72,10 @@ class Mdag {
 
   /// Connects from -> to; returns the edge id.
   int connect(int from, int to, StreamSig produced, StreamSig consumed,
-              std::int64_t channel_depth = 16);
+              std::optional<std::int64_t> channel_depth = std::nullopt);
   /// Convenience when both endpoints agree on the signature.
   int connect(int from, int to, StreamSig sig,
-              std::int64_t channel_depth = 16);
+              std::optional<std::int64_t> channel_depth = std::nullopt);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<Edge>& edges() const { return edges_; }

@@ -1,8 +1,11 @@
 // Composed-application tests (Sec. V / VI-C): numerical agreement of the
-// streaming compositions, host-layer baselines and CPU references; the
-// ATAX deadlock/channel-sizing behaviour; cycle-mode speedups of the
-// streaming versions over the host-layer versions (the Fig. 11 effect).
+// compiled streaming compositions, host-layer baselines and CPU
+// references; the ATAX deadlock/channel-sizing behaviour; cycle-mode
+// speedups of the compiled compositions over the host-layer versions (the
+// Fig. 11 effect).
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "apps/atax.hpp"
 #include "apps/axpydot.hpp"
@@ -24,6 +27,60 @@ class Apps : public ::testing::Test {};
 using Precisions = ::testing::Types<float, double>;
 TYPED_TEST_SUITE(Apps, Precisions);
 
+// A Stratix 10 board whose context carries the streaming knobs (W, TN)
+// a composition is built and compiled with.
+struct Board {
+  host::Device dev{sim::DeviceId::Stratix10};
+  host::Context ctx;
+
+  Board(Mode mode, int width, std::int64_t tile = 64) : ctx(dev, mode) {
+    ctx.config().width = width;
+    ctx.config().tile_rows = tile;
+    ctx.config().tile_cols = tile;
+  }
+  template <typename T>
+  host::Buffer<T> upload(const std::vector<T>& host, int bank) {
+    host::Buffer<T> b(dev, static_cast<std::int64_t>(host.size()),
+                      bank % dev.bank_count());
+    b.write(host);
+    return b;
+  }
+  template <typename T>
+  host::Buffer<T> zeros(std::int64_t n, int bank) {
+    return upload(std::vector<T>(static_cast<std::size_t>(n), T(0)), bank);
+  }
+};
+
+// Compiled ATAX on a fresh board; `budget` is the composition's channel
+// depth budget and `pin` (when > 0) pins the direct A channel.
+template <typename T>
+std::vector<T> run_atax(Mode mode, int width, std::int64_t tile,
+                        std::int64_t n, std::int64_t m,
+                        const std::vector<T>& a, const std::vector<T>& x,
+                        std::int64_t budget = 1 << 16, std::int64_t pin = 0) {
+  Board b(mode, width, tile);
+  auto ba = b.upload(a, 0);
+  auto bx = b.upload(x, 1);
+  auto by = b.zeros<T>(m, 2);
+  auto c = atax_composition<T>(b.ctx, n, m, ba, bx, by);
+  c.max_channel_depth(budget);
+  if (pin > 0) c.pin_channel_depth(kAtaxDirectAEdge, pin);
+  b.ctx.run_composition(c);
+  return by.to_host();
+}
+
+// Components the compiler plans for ATAX under a channel depth budget.
+std::size_t atax_components(int width, std::int64_t tile, std::int64_t n,
+                            std::int64_t m, std::int64_t budget) {
+  Board b(Mode::Functional, width, tile);
+  host::Buffer<float> a(b.dev, n * m), x(b.dev, m), y(b.dev, m);
+  const auto c = atax_composition<float>(b.ctx, n, m, a, x, y);
+  mdag::CompileOptions co;
+  co.width = width;
+  co.max_channel_depth = budget;
+  return mdag::compile(c.graph(), c.semantics(), co).order.size();
+}
+
 TYPED_TEST(Apps, AxpydotStreamingMatchesCpu) {
   using T = TypeParam;
   Workload wl(701);
@@ -35,11 +92,10 @@ TYPED_TEST(Apps, AxpydotStreamingMatchesCpu) {
   const T expect = axpydot_cpu<T>(VectorView<const T>(w.data(), n),
                                   VectorView<const T>(v.data(), n),
                                   VectorView<const T>(u.data(), n), alpha);
-  const auto got = axpydot_streaming<T>(
-      sim::stratix10(), Mode::Functional, 16, VectorView<const T>(w.data(), n),
-      VectorView<const T>(v.data(), n), VectorView<const T>(u.data(), n),
-      alpha);
-  EXPECT_NEAR(got.beta, expect, 1e-3 * n);
+  Board b(Mode::Functional, 16);
+  const T got = axpydot_composed<T>(b.ctx, n, b.upload(w, 0), b.upload(v, 1),
+                                    b.upload(u, 2), alpha);
+  EXPECT_NEAR(got, expect, 1e-3 * n);
 }
 
 TYPED_TEST(Apps, AxpydotHostLayerMatchesCpu) {
@@ -69,10 +125,9 @@ TEST(AppsSpeedup, AxpydotStreamingBeatsHostLayer) {
   auto w = wl.vector<float>(n);
   auto v = wl.vector<float>(n);
   auto u = wl.vector<float>(n);
-  const auto streaming = axpydot_streaming<float>(
-      sim::stratix10(), Mode::Cycle, 16, VectorView<const float>(w.data(), n),
-      VectorView<const float>(v.data(), n),
-      VectorView<const float>(u.data(), n), 2.0f);
+  Board s(Mode::Cycle, 16);
+  const float beta = axpydot_composed<float>(
+      s.ctx, n, s.upload(w, 0), s.upload(v, 1), s.upload(u, 2), 2.0f);
   host::Device dev(sim::DeviceId::Stratix10);
   host::Context ctx(dev, Mode::Cycle);
   ctx.config().width = 16;
@@ -80,9 +135,9 @@ TEST(AppsSpeedup, AxpydotStreamingBeatsHostLayer) {
       ctx, VectorView<const float>(w.data(), n),
       VectorView<const float>(v.data(), n),
       VectorView<const float>(u.data(), n), 2.0f);
-  EXPECT_NEAR(host.beta, streaming.beta, 1e-2);
+  EXPECT_NEAR(host.beta, beta, 1e-2);
   const double speedup = static_cast<double>(host.cycles) /
-                         static_cast<double>(streaming.cycles);
+                         static_cast<double>(s.ctx.total_cycles());
   EXPECT_GT(speedup, 2.5);
   EXPECT_LT(speedup, 6.0);
 }
@@ -97,12 +152,13 @@ TYPED_TEST(Apps, BicgStreamingMatchesCpu) {
   const auto expect = bicg_cpu<T>(MatrixView<const T>(a.data(), n, m),
                                   VectorView<const T>(p.data(), m),
                                   VectorView<const T>(r.data(), n));
-  const auto got = bicg_streaming<T>(
-      sim::stratix10(), Mode::Functional, 8, 16,
-      MatrixView<const T>(a.data(), n, m), VectorView<const T>(p.data(), m),
-      VectorView<const T>(r.data(), n));
-  EXPECT_LT(rel_error(got.q, expect.q), 1e-4);
-  EXPECT_LT(rel_error(got.s, expect.s), 1e-4);
+  Board b(Mode::Functional, 8, 16);
+  auto q = b.zeros<T>(n, 2);
+  auto s = b.zeros<T>(m, 3);
+  bicg_composed<T>(b.ctx, n, m, b.upload(a, 0), b.upload(p, 1),
+                   b.upload(r, 1), q, s);
+  EXPECT_LT(rel_error(q.to_host(), expect.q), 1e-4);
+  EXPECT_LT(rel_error(s.to_host(), expect.s), 1e-4);
 }
 
 TYPED_TEST(Apps, BicgHostLayerMatchesCpu) {
@@ -135,11 +191,11 @@ TEST(AppsSpeedup, BicgStreamingReadsAOnce) {
   auto a = wl.matrix<float>(n, m);
   auto p = wl.vector<float>(m);
   auto r = wl.vector<float>(n);
-  const auto streaming = bicg_streaming<float>(
-      sim::stratix10(), Mode::Cycle, 16, 64,
-      MatrixView<const float>(a.data(), n, m),
-      VectorView<const float>(p.data(), m),
-      VectorView<const float>(r.data(), n));
+  Board b(Mode::Cycle, 16, 64);
+  auto q = b.zeros<float>(n, 2);
+  auto s = b.zeros<float>(m, 3);
+  bicg_composed<float>(b.ctx, n, m, b.upload(a, 0), b.upload(p, 1),
+                       b.upload(r, 1), q, s);
   host::Device dev(sim::DeviceId::Stratix10);
   host::Context ctx(dev, Mode::Cycle);
   ctx.config().width = 16;
@@ -150,7 +206,7 @@ TEST(AppsSpeedup, BicgStreamingReadsAOnce) {
       VectorView<const float>(p.data(), m),
       VectorView<const float>(r.data(), n));
   const double speedup = static_cast<double>(host.cycles) /
-                         static_cast<double>(streaming.cycles);
+                         static_cast<double>(b.ctx.total_cycles());
   EXPECT_GT(speedup, 1.2);
   EXPECT_LT(speedup, 3.0);
 }
@@ -164,11 +220,11 @@ TYPED_TEST(Apps, AtaxStreamingWithSizedChannelMatchesCpu) {
   auto x = wl.vector<T>(m);
   const auto expect = atax_cpu<T>(MatrixView<const T>(a.data(), n, m),
                                   VectorView<const T>(x.data(), m));
-  const auto got = atax_streaming<T>(
-      sim::stratix10(), Mode::Functional, 4, tile,
-      atax_min_channel_depth(m, tile, 4), MatrixView<const T>(a.data(), n, m),
-      VectorView<const T>(x.data(), m));
-  EXPECT_LT(rel_error(got.y, expect), 1e-3);
+  // The default budget holds a row of tiles: the compiler sizes the
+  // direct A channel and streams the whole graph as one component.
+  ASSERT_EQ(atax_components(4, tile, n, m, 1 << 16), 1u);
+  const auto got = run_atax<T>(Mode::Functional, 4, tile, n, m, a, x);
+  EXPECT_LT(rel_error(got, expect), 1e-3);
 }
 
 TYPED_TEST(Apps, AtaxUndersizedChannelDeadlocks) {
@@ -177,12 +233,10 @@ TYPED_TEST(Apps, AtaxUndersizedChannelDeadlocks) {
   const std::int64_t n = 40, m = 24, tile = 8;
   auto a = wl.matrix<T>(n, m);
   auto x = wl.vector<T>(m);
-  // A channel much smaller than a row of tiles: the composition stalls
-  // forever, exactly as the Sec. V-B analysis predicts.
-  EXPECT_THROW(atax_streaming<T>(sim::stratix10(), Mode::Functional, 4, tile,
-                                 /*a_channel_depth=*/tile,
-                                 MatrixView<const T>(a.data(), n, m),
-                                 VectorView<const T>(x.data(), m)),
+  // A direct A channel pinned much smaller than a row of tiles: the
+  // composition stalls forever, exactly as the Sec. V-B analysis predicts.
+  EXPECT_THROW(run_atax<T>(Mode::Functional, 4, tile, n, m, a, x, 1 << 16,
+                           /*pin=*/tile),
                DeadlockError);
 }
 
@@ -194,11 +248,11 @@ TYPED_TEST(Apps, AtaxSplitMatchesCpu) {
   auto x = wl.vector<T>(m);
   const auto expect = atax_cpu<T>(MatrixView<const T>(a.data(), n, m),
                                   VectorView<const T>(x.data(), m));
-  const auto got =
-      atax_split<T>(sim::stratix10(), Mode::Functional, 4, tile,
-                    MatrixView<const T>(a.data(), n, m),
-                    VectorView<const T>(x.data(), m));
-  EXPECT_LT(rel_error(got.y, expect), 1e-3);
+  // A budget below one row of tiles: the compiler splits the graph and
+  // both GEMVs read A on their own.
+  ASSERT_EQ(atax_components(4, tile, n, m, 16), 2u);
+  const auto got = run_atax<T>(Mode::Functional, 4, tile, n, m, a, x, 16);
+  EXPECT_LT(rel_error(got, expect), 1e-3);
   host::Device dev;
   host::Context ctx(dev);
   ctx.config().width = 4;
@@ -218,17 +272,34 @@ TYPED_TEST(Apps, AtaxAutoPlannedMatchesCpuBothWays) {
   const auto expect = atax_cpu<T>(MatrixView<const T>(a.data(), n, m),
                                   VectorView<const T>(x.data(), m));
   // Generous on-chip budget: the planner sizes the channel and streams.
-  const auto streamed = atax_auto<T>(
-      sim::stratix10(), Mode::Functional, 4, tile,
-      /*max_channel_depth=*/1 << 16, MatrixView<const T>(a.data(), n, m),
-      VectorView<const T>(x.data(), m));
-  EXPECT_LT(rel_error(streamed.y, expect), 1e-3);
+  ASSERT_EQ(atax_components(4, tile, n, m, 1 << 16), 1u);
+  const auto streamed =
+      run_atax<T>(Mode::Functional, 4, tile, n, m, a, x, 1 << 16);
+  EXPECT_LT(rel_error(streamed, expect), 1e-3);
   // Tiny budget: the planner falls back to the split schedule.
-  const auto split = atax_auto<T>(
-      sim::stratix10(), Mode::Functional, 4, tile,
-      /*max_channel_depth=*/16, MatrixView<const T>(a.data(), n, m),
-      VectorView<const T>(x.data(), m));
-  EXPECT_LT(rel_error(split.y, expect), 1e-3);
+  ASSERT_EQ(atax_components(4, tile, n, m, 16), 2u);
+  const auto split = run_atax<T>(Mode::Functional, 4, tile, n, m, a, x, 16);
+  EXPECT_LT(rel_error(split, expect), 1e-3);
+}
+
+// Compiled GEMVER on a fresh board; returns {B, x, w} and the cycles.
+template <typename T>
+GemverResult<T> run_gemver(Mode mode, int width, std::int64_t tile,
+                           std::int64_t n, T alpha, T beta, Workload& wl) {
+  Board bd(mode, width, tile);
+  auto a = bd.upload(wl.matrix<T>(n, n), 0);
+  auto u1 = bd.upload(wl.vector<T>(n), 1);
+  auto v1 = bd.upload(wl.vector<T>(n), 2);
+  auto u2 = bd.upload(wl.vector<T>(n), 3);
+  auto v2 = bd.upload(wl.vector<T>(n), 1);
+  auto y = bd.upload(wl.vector<T>(n), 2);
+  auto z = bd.upload(wl.vector<T>(n), 3);
+  auto b = bd.zeros<T>(n * n, 1);
+  auto x = bd.zeros<T>(n, 2);
+  auto w = bd.zeros<T>(n, 3);
+  gemver_composed<T>(bd.ctx, n, alpha, beta, a, u1, v1, u2, v2, y, z, b, x,
+                     w);
+  return {b.to_host(), x.to_host(), w.to_host(), bd.ctx.total_cycles()};
 }
 
 TYPED_TEST(Apps, GemverStreamingMatchesCpu) {
@@ -249,10 +320,9 @@ TYPED_TEST(Apps, GemverStreamingMatchesCpu) {
   const auto expect =
       gemver_cpu<T>(alpha, beta, MatrixView<const T>(a.data(), n, n), cv(u1),
                     cv(v1), cv(u2), cv(v2), cv(y), cv(z));
-  const auto got = gemver_streaming<T>(
-      sim::stratix10(), Mode::Functional, 4, tile, alpha, beta,
-      MatrixView<const T>(a.data(), n, n), cv(u1), cv(v1), cv(u2), cv(v2),
-      cv(y), cv(z));
+  Workload same(710);  // same seed => same operands, drawn in order
+  const auto got =
+      run_gemver<T>(Mode::Functional, 4, tile, n, alpha, beta, same);
   EXPECT_LT(rel_error(got.b, expect.b), 1e-3);
   EXPECT_LT(rel_error(got.x, expect.x), 1e-3);
   EXPECT_LT(rel_error(got.w, expect.w), 1e-3);
@@ -301,10 +371,9 @@ TEST(AppsSpeedup, GemverStreamingBeatsHostLayer) {
   auto cv = [n](const std::vector<float>& v) {
     return VectorView<const float>(v.data(), n);
   };
-  const auto streaming = gemver_streaming<float>(
-      sim::stratix10(), stream::Mode::Cycle, 16, tile, 1.5f, 0.5f,
-      MatrixView<const float>(a.data(), n, n), cv(u1), cv(v1), cv(u2), cv(v2),
-      cv(y), cv(z));
+  Workload same(712);
+  const auto streaming =
+      run_gemver<float>(Mode::Cycle, 16, tile, n, 1.5f, 0.5f, same);
   host::Device dev(sim::DeviceId::Stratix10);
   host::Context ctx(dev, stream::Mode::Cycle);
   ctx.config().width = 16;
@@ -320,6 +389,19 @@ TEST(AppsSpeedup, GemverStreamingBeatsHostLayer) {
   EXPECT_LT(speedup, 5.0);
 }
 
+// Compiled GESUMMV on a fresh board; returns y and the cycles.
+template <typename T>
+GesummvResult<T> run_gesummv(Mode mode, int width, std::int64_t tile,
+                             T alpha, T beta, std::int64_t n, std::int64_t m,
+                             const std::vector<T>& a, const std::vector<T>& b,
+                             const std::vector<T>& x) {
+  Board bd(mode, width, tile);
+  auto y = bd.zeros<T>(n, 3);
+  gesummv_composed<T>(bd.ctx, n, m, alpha, beta, bd.upload(a, 0),
+                      bd.upload(b, 1), bd.upload(x, 2), y);
+  return {y.to_host(), bd.ctx.total_cycles()};
+}
+
 TYPED_TEST(Apps, GesummvStreamingMatchesCpu) {
   using T = TypeParam;
   Workload wl(716);
@@ -330,10 +412,8 @@ TYPED_TEST(Apps, GesummvStreamingMatchesCpu) {
   const auto expect = gesummv_cpu<T>(
       T(1.5), T(-0.5), MatrixView<const T>(a.data(), n, m),
       MatrixView<const T>(b.data(), n, m), VectorView<const T>(x.data(), m));
-  const auto got = gesummv_streaming<T>(
-      sim::stratix10(), Mode::Functional, 4, tile, T(1.5), T(-0.5),
-      MatrixView<const T>(a.data(), n, m), MatrixView<const T>(b.data(), n, m),
-      VectorView<const T>(x.data(), m));
+  const auto got = run_gesummv<T>(Mode::Functional, 4, tile, T(1.5), T(-0.5),
+                                  n, m, a, b, x);
   EXPECT_LT(rel_error(got.y, expect), 1e-3);
 }
 
@@ -367,11 +447,8 @@ TEST(AppsSpeedup, GesummvStreamingBeatsHostLayer) {
   auto a = wl.matrix<float>(n, n);
   auto b = wl.matrix<float>(n, n);
   auto x = wl.vector<float>(n);
-  const auto streaming = gesummv_streaming<float>(
-      sim::stratix10(), Mode::Cycle, 16, tile, 1.5f, 0.5f,
-      MatrixView<const float>(a.data(), n, n),
-      MatrixView<const float>(b.data(), n, n),
-      VectorView<const float>(x.data(), n));
+  const auto streaming = run_gesummv<float>(Mode::Cycle, 16, tile, 1.5f,
+                                            0.5f, n, n, a, b, x);
   host::Device dev(sim::DeviceId::Stratix10);
   host::Context ctx(dev, Mode::Cycle);
   ctx.config().width = 16;
@@ -390,7 +467,7 @@ TEST(AppsSpeedup, GesummvStreamingBeatsHostLayer) {
 
 TEST(AppMdags, GesummvShowsTheAnalysisIsConservative) {
   // GESUMMV is a non-multitree (x reaches the ADD through both GEMVs, and
-  // so the Sec. V rule flags it), yet the streaming runs above complete
+  // so the Sec. V rule flags it), yet the compiled runs above stream it
   // with small channels: the two sibling paths have *identical* lag (both
   // GEMVs emit block ti after the same tile-row), so neither side ever
   // builds up unbounded backlog. The vertex-disjoint-path criterion is

@@ -146,24 +146,30 @@ TEST(AutoPlan, FirstOutputLagFormulas) {
 }
 
 TEST(AutoPlan, PlannedSizingActuallyRunsAtax) {
-  // End-to-end: feed the planner's channel depth into the real streaming
-  // composition and watch it complete.
+  // End-to-end: pin the planner's channel depth (plus fan-out slack) on
+  // the compiled composition's direct A channel and watch it complete.
   const std::int64_t n = 40, m = 24, tile = 8;
   const auto g = apps::atax_mdag(n, m, tile);
   const auto sizings = required_channel_depths(g);
   ASSERT_EQ(sizings.size(), 1u);
   Workload wl(808);
-  auto a = wl.matrix<float>(n, m);
-  auto x = wl.vector<float>(m);
-  const auto got = apps::atax_streaming<float>(
-      sim::stratix10(), stream::Mode::Functional, 4, tile,
-      sizings[0].min_depth + 4 * 4,  // planner depth + fan-out slack
-      MatrixView<const float>(a.data(), n, m),
-      VectorView<const float>(x.data(), m));
+  const auto ha = wl.matrix<float>(n, m);
+  const auto hx = wl.vector<float>(m);
+  host::Device dev;
+  host::Context ctx(dev);
+  ctx.config().width = 4;
+  ctx.config().tile_rows = tile;
+  ctx.config().tile_cols = tile;
+  host::Buffer<float> a(dev, n * m, 0), x(dev, m, 1), y(dev, m, 2);
+  a.write(ha);
+  x.write(hx);
+  auto c = apps::atax_composition<float>(ctx, n, m, a, x, y);
+  c.pin_channel_depth(apps::kAtaxDirectAEdge, sizings[0].min_depth + 4 * 4);
+  ctx.run_composition(c);
   const auto expect = apps::atax_cpu<float>(
-      MatrixView<const float>(a.data(), n, m),
-      VectorView<const float>(x.data(), m));
-  EXPECT_LT(rel_error(got.y, expect), 1e-3);
+      MatrixView<const float>(ha.data(), n, m),
+      VectorView<const float>(hx.data(), m));
+  EXPECT_LT(rel_error(y.to_host(), expect), 1e-3);
 }
 
 }  // namespace

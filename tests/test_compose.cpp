@@ -1,14 +1,16 @@
 // The generic MDAG composition compiler, end to end: descriptions are
-// rejected at enqueue with the validity diagnostic, the compiled
-// AXPYDOT/ATAX/BICG pipelines are bit-identical to the hand-wired
-// streaming graphs they replaced, the new composed GEMVER/GESUMMV match
-// refblas (serially and on the worker pool), and in-flight corruption is
-// caught on every compiled composition (sdc_caught == faults_injected)
-// with the divergence localized to the injector's ground-truth channel.
+// rejected at enqueue with the validity diagnostic, the compiled apps
+// reproduce their golden plans, cycle counts and output bits, a pinned
+// channel depth is honoured exactly (an undersized pin deadlocks), the
+// composed GEMVER/GESUMMV match refblas (serially and on the worker
+// pool), and in-flight corruption is caught on every compiled composition
+// (sdc_caught == faults_injected) with the divergence localized to the
+// injector's ground-truth channel.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -101,81 +103,293 @@ TEST(ComposeCompiler, NonMultitreeRejectionSurfacesValidityDiagnostic) {
   EXPECT_NO_THROW(ctx.run_composition(c));
 }
 
-// --- Bit-identity with the hand-wired streaming graphs --------------------
+// --- Golden values ---------------------------------------------------------
+//
+// Recorded from the compiled pipelines while they were still checked bit
+// for bit against hand-wired stream graphs, which they matched exactly.
+// Any change to an unpinned plan, a lowering or a module moves at least
+// one of them.
 
-TEST(ComposeCompiler, CompiledAxpydotBitIdenticalToHandWired) {
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(const std::vector<float>& v,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  return fnv1a(v.data(), v.size() * sizeof(float), h);
+}
+
+TEST(ComposeGolden, AxpydotOutputBits) {
   const std::int64_t n = 300;
-  const float alpha = 0.37f;
   Workload wl(42);
-  const auto hw = wl.vector<float>(n);
-  const auto hv = wl.vector<float>(n);
-  const auto hu = wl.vector<float>(n);
-
   host::Device dev;
   host::Context ctx(dev, stream::Mode::Functional, 0);
   host::Buffer<float> w(dev, n, 0), v(dev, n, 1), u(dev, n, 2);
-  w.write(hw);
-  v.write(hv);
-  u.write(hu);
-  const float beta = apps::axpydot_composed<float>(ctx, n, w, v, u, alpha);
-
-  const auto hand = apps::axpydot_streaming<float>(
-      dev.spec(), stream::Mode::Functional, ctx.config().width,
-      VectorView<const float>(hw.data(), n),
-      VectorView<const float>(hv.data(), n),
-      VectorView<const float>(hu.data(), n), alpha);
-  EXPECT_EQ(beta, hand.beta);  // bit-identical, not just close
+  w.write(wl.vector<float>(n));
+  v.write(wl.vector<float>(n));
+  u.write(wl.vector<float>(n));
+  const float beta = apps::axpydot_composed<float>(ctx, n, w, v, u, 0.37f);
+  EXPECT_EQ(fnv1a(&beta, sizeof beta), 0x74b3c9ddabe6294aull);
 }
 
-TEST(ComposeCompiler, CompiledAtaxBitIdenticalToHandWired) {
+TEST(ComposeGolden, AtaxOutputBits) {
   const std::int64_t n = 40, m = 28;
   Workload wl(43);
-  const auto ha = wl.matrix<float>(n, m);
-  const auto hx = wl.vector<float>(m);
-
   host::Device dev;
   host::Context ctx(dev, stream::Mode::Functional, 0);
   host::Buffer<float> a(dev, n * m, 0), x(dev, m, 1), y(dev, m, 2);
-  a.write(ha);
-  x.write(hx);
-  y.write(std::vector<float>(static_cast<std::size_t>(m), 0.0f));
+  a.write(wl.matrix<float>(n, m));
+  x.write(wl.vector<float>(m));
   apps::atax_composed<float>(ctx, n, m, a, x, y);
-
-  const auto& rc = ctx.config();
-  const auto hand = apps::atax_streaming<float>(
-      dev.spec(), stream::Mode::Functional, rc.width, rc.tile_rows,
-      apps::atax_min_channel_depth(m, rc.tile_rows, rc.width),
-      MatrixView<const float>(ha.data(), n, m),
-      VectorView<const float>(hx.data(), m));
-  EXPECT_EQ(y.to_host(), hand.y);
+  EXPECT_EQ(fnv1a(y.to_host()), 0xa3f3663dae748beeull);
 }
 
-TEST(ComposeCompiler, CompiledBicgBitIdenticalToHandWired) {
+TEST(ComposeGolden, BicgOutputBits) {
   const std::int64_t n = 36, m = 24;
   Workload wl(44);
-  const auto ha = wl.matrix<float>(n, m);
-  const auto hp = wl.vector<float>(m);
-  const auto hr = wl.vector<float>(n);
-
   host::Device dev;
   host::Context ctx(dev, stream::Mode::Functional, 0);
   host::Buffer<float> a(dev, n * m, 0), p(dev, m, 1), r(dev, n, 2);
   host::Buffer<float> q(dev, n, 1), s(dev, m, 2);
-  a.write(ha);
-  p.write(hp);
-  r.write(hr);
-  q.write(std::vector<float>(static_cast<std::size_t>(n), 0.0f));
-  s.write(std::vector<float>(static_cast<std::size_t>(m), 0.0f));
+  a.write(wl.matrix<float>(n, m));
+  p.write(wl.vector<float>(m));
+  r.write(wl.vector<float>(n));
   apps::bicg_composed<float>(ctx, n, m, a, p, r, q, s);
+  EXPECT_EQ(fnv1a(s.to_host(), fnv1a(q.to_host())), 0xcc005e78944aa1caull);
+}
 
-  const auto& rc = ctx.config();
-  const auto hand = apps::bicg_streaming<float>(
-      dev.spec(), stream::Mode::Functional, rc.width, rc.tile_rows,
-      MatrixView<const float>(ha.data(), n, m),
-      VectorView<const float>(hp.data(), m),
-      VectorView<const float>(hr.data(), n));
-  EXPECT_EQ(q.to_host(), hand.q);
-  EXPECT_EQ(s.to_host(), hand.s);
+// The Fig. 11 parity shapes: Stratix 10, W = 16, 64 x 64 tiles, cycle
+// mode, operands from Workload seeds 15-19.
+struct ParityBoard {
+  host::Device dev{sim::DeviceId::Stratix10};
+  host::Context ctx{dev, stream::Mode::Cycle};
+  ParityBoard() {
+    ctx.config().width = 16;
+    ctx.config().tile_rows = 64;
+    ctx.config().tile_cols = 64;
+  }
+  host::Buffer<float> upload(const std::vector<float>& host, int bank) {
+    host::Buffer<float> b(dev, static_cast<std::int64_t>(host.size()),
+                          bank % dev.bank_count());
+    b.write(host);
+    return b;
+  }
+  // Compiles `c` as run_composition does, checks the plan against the
+  // golden one, runs it and checks the cycle count.
+  void expect(const host::Composition<float>& c, const std::string& summary,
+              const std::vector<std::int64_t>& edge_depth,
+              std::uint64_t cycles) {
+    mdag::CompileOptions co;
+    co.width = ctx.config().width;
+    co.max_channel_depth = c.max_channel_depth();
+    co.prefer_sizing = !c.split_preferred();
+    co.allow_split = !c.streaming_required();
+    const mdag::Compiled cp = mdag::compile(c.graph(), c.semantics(), co);
+    EXPECT_EQ(cp.summary, summary);
+    EXPECT_EQ(cp.edge_depth, edge_depth);
+    ctx.run_composition(c);
+    EXPECT_EQ(ctx.total_cycles(), cycles);
+  }
+};
+
+TEST(ComposeGolden, AxpydotParityPlanAndCycles) {
+  const std::int64_t n = 1 << 15;
+  Workload wl(15);
+  ParityBoard b;
+  auto w = b.upload(wl.vector<float>(n), 0);
+  auto v = b.upload(wl.vector<float>(n), 1);
+  auto u = b.upload(wl.vector<float>(n), 2);
+  float beta = 0.0f;
+  b.expect(apps::axpydot_composition<float>(n, w, v, u, 2.0f, &beta),
+           "compiled '1 component(s), 0 cut edge(s), 0 sized channel(s)': "
+           "composition is a valid multitree: fully streaming",
+           {64, 64, 64, 64, 16}, 2527);
+}
+
+TEST(ComposeGolden, AtaxParityPlanAndCycles) {
+  const std::int64_t n = 256, m = 256;
+  Workload wl(16);
+  ParityBoard b;
+  auto a = b.upload(wl.matrix<float>(n, m), 0);
+  auto x = b.upload(wl.vector<float>(m), 1);
+  auto y = b.upload(std::vector<float>(static_cast<std::size_t>(m)), 2);
+  b.expect(apps::atax_composition<float>(b.ctx, n, m, a, x, y),
+           "compiled '1 component(s), 0 cut edge(s), 1 sized channel(s)': "
+           "fully streaming with 1 sized channel(s): [read_A -> gemv_T] >= "
+           "16384",
+           {64, 16448, 64, 64, 64}, 5142);
+}
+
+TEST(ComposeGolden, BicgParityPlanAndCycles) {
+  const std::int64_t n = 256, m = 256;
+  Workload wl(17);
+  ParityBoard b;
+  auto a = b.upload(wl.matrix<float>(n, m), 0);
+  auto p = b.upload(wl.vector<float>(m), 1);
+  auto r = b.upload(wl.vector<float>(n), 2);
+  auto q = b.upload(std::vector<float>(static_cast<std::size_t>(n)), 3);
+  auto s = b.upload(std::vector<float>(static_cast<std::size_t>(m)), 3);
+  b.expect(apps::bicg_composition<float>(b.ctx, n, m, a, p, r, q, s),
+           "compiled '1 component(s), 0 cut edge(s), 0 sized channel(s)': "
+           "composition is a valid multitree: fully streaming",
+           {64, 64, 64, 64, 64, 64}, 4130);
+}
+
+TEST(ComposeGolden, GesummvParityPlanAndCycles) {
+  const std::int64_t n = 256, m = 256;
+  Workload wl(18);
+  ParityBoard b;
+  auto a = b.upload(wl.matrix<float>(n, m), 0);
+  auto bb = b.upload(wl.matrix<float>(n, m), 1);
+  auto x = b.upload(wl.vector<float>(m), 2);
+  auto y = b.upload(std::vector<float>(static_cast<std::size_t>(n)), 3);
+  b.expect(apps::gesummv_composition<float>(b.ctx, n, m, 1.5f, -0.5f, a, bb,
+                                            x, y),
+           "compiled '1 component(s), 0 cut edge(s), 1 sized channel(s)': "
+           "fully streaming with 1 sized channel(s): [gemv_A -> add] >= 256",
+           {64, 64, 64, 64, 320, 64, 64}, 4106);
+}
+
+TEST(ComposeGolden, GemverParityPlanAndCycles) {
+  const std::int64_t n = 256;
+  Workload wl(19);
+  ParityBoard b;
+  auto a = b.upload(wl.matrix<float>(n, n), 0);
+  auto u1 = b.upload(wl.vector<float>(n), 1);
+  auto v1 = b.upload(wl.vector<float>(n), 2);
+  auto u2 = b.upload(wl.vector<float>(n), 3);
+  auto v2 = b.upload(wl.vector<float>(n), 1);
+  auto y = b.upload(wl.vector<float>(n), 2);
+  auto z = b.upload(wl.vector<float>(n), 3);
+  const std::vector<float> zn(static_cast<std::size_t>(n));
+  auto B = b.upload(std::vector<float>(static_cast<std::size_t>(n * n)), 1);
+  auto x = b.upload(zn, 2);
+  auto w = b.upload(zn, 3);
+  b.expect(apps::gemver_composition<float>(b.ctx, n, 1.5f, 0.5f, a, u1, v1,
+                                           u2, v2, y, z, B, x, w),
+           "compiled '2 component(s), 2 cut edge(s), 0 sized channel(s)': "
+           "composition is a valid multitree: fully streaming",
+           {64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 0, 0, 64, 64}, 8241);
+}
+
+// --- Pinned channel depths --------------------------------------------------
+//
+// The ATAX deadlock demo through the compiler: N = 64, M = 48, TN = 16,
+// W = 4, so the Sec. V-B bound is M*TN = 768 and the measured boundary
+// (bench/ablation_channels) is 767.
+
+// One board per run: a failed command also fails every later command
+// that touches its buffers.
+struct PinnedAtax {
+  static constexpr std::int64_t n = 64, m = 48, tile = 16;
+  host::Device dev;
+  host::Context ctx{dev, stream::Mode::Cycle};
+  host::Buffer<float> a{dev, n * m, 0}, x{dev, m, 1}, y{dev, m, 2};
+  std::vector<float> ha, hx;
+
+  PinnedAtax() {
+    ctx.config().width = 4;
+    ctx.config().tile_rows = tile;
+    ctx.config().tile_cols = tile;
+    // Retries and a CPU fallback are armed so the tests can show that a
+    // deadlock uses neither.
+    ctx.set_retry_policy(fast_retry(3, /*cpu_fallback=*/true));
+    Workload wl(9);
+    ha = wl.matrix<float>(n, m);
+    hx = wl.vector<float>(m);
+    a.write(ha);
+    x.write(hx);
+  }
+  host::Composition<float> pinned(std::int64_t depth) {
+    auto c = apps::atax_composition<float>(ctx, n, m, a, x, y);
+    c.pin_channel_depth(apps::kAtaxDirectAEdge, depth);
+    return c;
+  }
+};
+
+TEST(ComposePin, UndersizedPinDeadlocksWithoutRetryOrFallback) {
+  // Far below the bound, and one below the measured boundary.
+  for (const std::int64_t depth : {PinnedAtax::tile, std::int64_t{766}}) {
+    PinnedAtax t;
+    EXPECT_THROW(t.ctx.run_composition(t.pinned(depth)), DeadlockError)
+        << "pin " << depth;
+    EXPECT_EQ(t.ctx.exec_stats().retries, 0u);
+    EXPECT_EQ(t.ctx.exec_stats().degraded, 0u);
+  }
+}
+
+TEST(ComposePin, PinAtTheBoundCompletesAndMatchesCpu) {
+  for (const std::int64_t depth : {767, 768, 4 * 768}) {
+    PinnedAtax t;
+    t.ctx.run_composition(t.pinned(depth));
+    expect_close(t.y.to_host(),
+                 apps::atax_cpu<float>(
+                     MatrixView<const float>(t.ha.data(), t.n, t.m),
+                     VectorView<const float>(t.hx.data(), t.m)),
+                 1e-3);
+    EXPECT_EQ(t.ctx.exec_stats().retries, 0u);
+  }
+}
+
+TEST(ComposePin, PinOverridesTheChannelBudget) {
+  // Unpinned, a 16-element budget splits ATAX; the pin keeps it one
+  // streaming component (require_streaming would reject a split).
+  PinnedAtax t;
+  auto c = t.pinned(768);
+  c.max_channel_depth(16).require_streaming();
+  EXPECT_NO_THROW(t.ctx.run_composition(c));
+}
+
+TEST(ComposePin, PinBelowOneIsConfigErrorNamingTheEdge) {
+  PinnedAtax t;
+  try {
+    t.ctx.run_composition_async(t.pinned(0));
+    FAIL() << "expected ConfigError at enqueue";
+  } catch (const ConfigError& err) {
+    EXPECT_NE(std::string(err.what()).find("read_A->gemv_T"),
+              std::string::npos)
+        << err.what();
+  }
+  t.ctx.finish();
+  EXPECT_EQ(t.ctx.exec_stats().executed, 0u);
+}
+
+TEST(ComposePin, PinOnACutEdgeIsConfigErrorNamingTheEdge) {
+  // GEMVER's compiled plan cuts ger2 -> gemv_w through DRAM (Fig. 9).
+  const std::int64_t n = 32;
+  host::Device dev;
+  host::Context ctx(dev);
+  ctx.config().tile_rows = 8;
+  ctx.config().tile_cols = 8;
+  host::Buffer<float> a(dev, n * n), u1(dev, n), v1(dev, n), u2(dev, n),
+      v2(dev, n), y(dev, n), z(dev, n), B(dev, n * n), x(dev, n), w(dev, n);
+  auto c = apps::gemver_composition<float>(ctx, n, 1.5f, 0.5f, a, u1, v1, u2,
+                                           v2, y, z, B, x, w);
+  int cut = -1;
+  const mdag::Mdag& g = c.graph();
+  for (int e = 0; e < static_cast<int>(g.edges().size()); ++e) {
+    if (g.node(g.edge(e).from).name == "ger2" &&
+        g.node(g.edge(e).to).name == "gemv_w") {
+      cut = e;
+    }
+  }
+  ASSERT_GE(cut, 0);
+  c.pin_channel_depth(cut, 1 << 12);
+  try {
+    ctx.run_composition_async(c);
+    FAIL() << "expected ConfigError at enqueue";
+  } catch (const ConfigError& err) {
+    EXPECT_NE(std::string(err.what()).find("ger2->gemv_w"), std::string::npos)
+        << err.what();
+  }
+  ctx.finish();
+  EXPECT_EQ(ctx.exec_stats().executed, 0u);
 }
 
 // --- Composed GEMVER / GESUMMV against refblas ---------------------------
