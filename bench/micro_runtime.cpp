@@ -7,6 +7,7 @@
 #include "common/workload.hpp"
 #include "fblas/batched.hpp"
 #include "fblas/level1.hpp"
+#include "fblas/level2.hpp"
 #include "refblas/level3.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
@@ -50,6 +51,61 @@ BENCHMARK(BM_StreamPassthrough)
     ->Args({1 << 14, 1})
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1});
+
+// The shared-A fan-out of BICG/ATAX: gen -> fanout2 -> two sinks, cycle
+// mode, W=16. Arg 1: 0 plain; 1 taint recording (one finiteness test per
+// burst); 2 taint recording plus a checksum tap on every channel, as a
+// verified composition runs it.
+void BM_StreamFanout(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  const std::int64_t hooks = state.range(1);
+  for (auto _ : state) {
+    stream::Graph g(stream::Mode::Cycle);
+    if (hooks >= 1) g.scheduler().enable_taint(false);
+    auto& in = g.channel<float>("in", 256);
+    auto& a = g.channel<float>("a", 256);
+    auto& b = g.channel<float>("b", 256);
+    if (hooks >= 2) {
+      for (auto* ch : {&in, &a, &b}) ch->arm_tap();
+    }
+    g.spawn("gen", stream::generate<float>(n, 1.0f, 16, in));
+    g.spawn("fan", stream::fanout2<float>(n, 16, in, a, b));
+    g.spawn("sink_a", stream::sink<float>(n, 16, a));
+    g.spawn("sink_b", stream::sink<float>(n, 16, b));
+    g.run();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(hooks == 0 ? "plain" : hooks == 1 ? "taint" : "taint+taps");
+}
+BENCHMARK(BM_StreamFanout)
+    ->Args({1 << 16, 0})
+    ->Args({1 << 16, 1})
+    ->Args({1 << 16, 2});
+
+// GER on an n x n matrix in 64 x 64 tiles by rows, cycle mode, W=16:
+// generated A, x and y (replayed as GER needs them), result sunk.
+void BM_StreamGer(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  core::GerConfig cfg;
+  cfg.tile_rows = cfg.tile_cols = 64;
+  const std::int64_t xr = core::ger_x_repeat(cfg, n, n);
+  const std::int64_t yr = core::ger_y_repeat(cfg, n, n);
+  for (auto _ : state) {
+    stream::Graph g(stream::Mode::Cycle);
+    auto& a = g.channel<float>("a", 256);
+    auto& x = g.channel<float>("x", 256);
+    auto& y = g.channel<float>("y", 256);
+    auto& out = g.channel<float>("out", 256);
+    g.spawn("gen_a", stream::generate<float>(n * n, 1.0f, 16, a));
+    g.spawn("gen_x", stream::generate<float>(n * xr, 0.5f, 16, x));
+    g.spawn("gen_y", stream::generate<float>(n * yr, 2.0f, 16, y));
+    g.spawn("ger", core::ger<float>(cfg, n, n, 0.25f, a, x, y, out));
+    g.spawn("sink", stream::sink<float>(n * n, 16, out));
+    g.run();
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_StreamGer)->Arg(256);
 
 void BM_TileWalker(benchmark::State& state) {
   const std::int64_t n = 512;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +28,7 @@
 
 namespace fblas::core {
 
+using stream::burst_len;
 using stream::Channel;
 using stream::next_cycle;
 using stream::Task;
@@ -297,18 +299,32 @@ std::int64_t ger_y_repeat(const GerConfig& cfg, std::int64_t rows,
 std::int64_t ger_io_ops(const GerConfig& cfg, std::int64_t rows,
                         std::int64_t cols);
 
-/// GER: out = A + alpha * x * y^T, streamed tile by tile.
-template <typename T>
-Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
-         Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
-         Channel<T>& ch_out) {
+/// The streamed matrix update behind GER, SYR and SYR2: out = update(a)
+/// for every element a of A, tile by tile. K vector operands run along
+/// the rows (row_ch) and K along the columns (col_ch); per tile their
+/// blocks load element by element in channel order, the outer-dimension
+/// blocks once per outer step and the inner ones (the replayed operands)
+/// for every tile. `update(a, rb, cb, r, c)` sees the blocks as
+/// rb[k][r] and cb[k][c].
+///
+/// The blocks and A move as bursts under stream::burst_len (A never
+/// across a cycle or a tile line), which is element-exact: see the
+/// burst note on Channel.
+template <typename T, std::size_t K, typename Update>
+Task rank_update(GerConfig cfg, std::int64_t rows, std::int64_t cols,
+                 Channel<T>& ch_a, std::array<Channel<T>*, K> row_ch,
+                 std::array<Channel<T>*, K> col_ch, Channel<T>& ch_out,
+                 Update update) {
   cfg.validate();
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
   const int W = cfg.width;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
-  std::vector<T> rbuf(static_cast<std::size_t>(TN));
-  std::vector<T> cbuf(static_cast<std::size_t>(TM));
+  const bool row_elems = cfg.elem_order == Order::RowMajor;
+  std::array<std::vector<T>, K> rb, cb;
+  for (auto& b : rb) b.resize(static_cast<std::size_t>(TN));
+  for (auto& b : cb) b.resize(static_cast<std::size_t>(TM));
+  std::vector<T> abuf(static_cast<std::size_t>(W));
   const std::int64_t outer = by_rows ? nti : ntj;
   const std::int64_t inner = by_rows ? ntj : nti;
   for (std::int64_t to = 0; to < outer; ++to) {
@@ -317,31 +333,57 @@ Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
       const std::int64_t tj = by_rows ? tin : to;
       const std::int64_t th = std::min(TN, rows - ti * TN);
       const std::int64_t tw = std::min(TM, cols - tj * TM);
-      // The outer-dimension block is loaded once per outer step; the
-      // inner-dimension block is (re)loaded for every tile: that operand
-      // is the replayed one.
-      if (by_rows) {
-        if (tin == 0) {
-          for (std::int64_t r = 0; r < th; ++r) rbuf[r] = co_await ch_x.pop();
+      for (int p = tin == 0 ? 0 : 1; p < 2; ++p) {
+        const bool load_rows = by_rows == (p == 0);
+        const auto& chs = load_rows ? row_ch : col_ch;
+        auto& bufs = load_rows ? rb : cb;
+        const std::int64_t len = load_rows ? th : tw;
+        for (std::int64_t idx = 0; idx < len;) {
+          std::size_t m = static_cast<std::size_t>(len - idx);
+          for (const Channel<T>* ch : chs) m = std::min(m, ch->size());
+          if (m == 0) {
+            for (std::size_t k = 0; k < K; ++k) {
+              bufs[k][idx] = co_await chs[k]->pop();
+            }
+            ++idx;
+            continue;
+          }
+          for (std::size_t k = 0; k < K; ++k) {
+            chs[k]->try_take_n(bufs[k].data() + idx, m);
+          }
+          idx += static_cast<std::int64_t>(m);
         }
-        for (std::int64_t c = 0; c < tw; ++c) cbuf[c] = co_await ch_y.pop();
-      } else {
-        if (tin == 0) {
-          for (std::int64_t c = 0; c < tw; ++c) cbuf[c] = co_await ch_y.pop();
-        }
-        for (std::int64_t r = 0; r < th; ++r) rbuf[r] = co_await ch_x.pop();
       }
       int in_cycle = 0;
-      const bool row_elems = cfg.elem_order == Order::RowMajor;
       const std::int64_t no = row_elems ? th : tw;
       const std::int64_t ni = row_elems ? tw : th;
       for (std::int64_t o = 0; o < no; ++o) {
-        for (std::int64_t i = 0; i < ni; ++i) {
-          const std::int64_t r = row_elems ? o : i;
-          const std::int64_t c = row_elems ? i : o;
-          const T a = co_await ch_a.pop();
-          co_await ch_out.push(a + alpha * rbuf[r] * cbuf[c]);
-          if (++in_cycle == W) {
+        for (std::int64_t i = 0; i < ni;) {
+          const std::size_t k =
+              ch_out.push_may_throw()
+                  ? 0
+                  : burst_len(std::min<std::int64_t>(W - in_cycle, ni - i),
+                              {ch_a.size(), ch_out.room()});
+          if (k == 0) {
+            const T a = co_await ch_a.pop();
+            co_await ch_out.push(update(a, rb, cb, row_elems ? o : i,
+                                        row_elems ? i : o));
+            ++i;
+            if (++in_cycle == W) {
+              in_cycle = 0;
+              co_await next_cycle();
+            }
+            continue;
+          }
+          ch_a.try_take_n(abuf.data(), k);
+          for (std::size_t e = 0; e < k; ++e) {
+            const std::int64_t ie = i + static_cast<std::int64_t>(e);
+            abuf[e] = update(abuf[e], rb, cb, row_elems ? o : ie,
+                             row_elems ? ie : o);
+          }
+          ch_out.try_put_n(abuf.data(), k);
+          i += static_cast<std::int64_t>(k);
+          if ((in_cycle += static_cast<int>(k)) == W) {
             in_cycle = 0;
             co_await next_cycle();
           }
@@ -350,6 +392,17 @@ Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     }
     co_await next_cycle();
   }
+}
+
+/// GER: out = A + alpha * x * y^T, streamed tile by tile.
+template <typename T>
+Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
+         Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
+         Channel<T>& ch_out) {
+  return rank_update<T, 1>(
+      cfg, rows, cols, ch_a, {&ch_x}, {&ch_y}, ch_out,
+      [alpha](T a, const auto& x, const auto& y, std::int64_t r,
+              std::int64_t c) { return a + alpha * x[0][r] * y[0][c]; });
 }
 
 /// SYR: out = A + alpha * x * x^T (generic full-matrix stream; the paper
@@ -368,63 +421,12 @@ template <typename T>
 Task syr2(GerConfig cfg, std::int64_t n, T alpha, Channel<T>& ch_a,
           Channel<T>& ch_x_row, Channel<T>& ch_x_col, Channel<T>& ch_y_row,
           Channel<T>& ch_y_col, Channel<T>& ch_out) {
-  cfg.validate();
-  const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
-  const std::int64_t nti = ceil_div(n, TN), ntj = ceil_div(n, TM);
-  const int W = cfg.width;
-  const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
-  std::vector<T> xr(static_cast<std::size_t>(TN)), yr(static_cast<std::size_t>(TN));
-  std::vector<T> xc(static_cast<std::size_t>(TM)), yc(static_cast<std::size_t>(TM));
-  const std::int64_t outer = by_rows ? nti : ntj;
-  const std::int64_t inner = by_rows ? ntj : nti;
-  for (std::int64_t to = 0; to < outer; ++to) {
-    for (std::int64_t tin = 0; tin < inner; ++tin) {
-      const std::int64_t ti = by_rows ? to : tin;
-      const std::int64_t tj = by_rows ? tin : to;
-      const std::int64_t th = std::min(TN, n - ti * TN);
-      const std::int64_t tw = std::min(TM, n - tj * TM);
-      if (by_rows) {
-        if (tin == 0) {
-          for (std::int64_t r = 0; r < th; ++r) {
-            xr[r] = co_await ch_x_row.pop();
-            yr[r] = co_await ch_y_row.pop();
-          }
-        }
-        for (std::int64_t c = 0; c < tw; ++c) {
-          xc[c] = co_await ch_x_col.pop();
-          yc[c] = co_await ch_y_col.pop();
-        }
-      } else {
-        if (tin == 0) {
-          for (std::int64_t c = 0; c < tw; ++c) {
-            xc[c] = co_await ch_x_col.pop();
-            yc[c] = co_await ch_y_col.pop();
-          }
-        }
-        for (std::int64_t r = 0; r < th; ++r) {
-          xr[r] = co_await ch_x_row.pop();
-          yr[r] = co_await ch_y_row.pop();
-        }
-      }
-      int in_cycle = 0;
-      const bool row_elems = cfg.elem_order == Order::RowMajor;
-      const std::int64_t no = row_elems ? th : tw;
-      const std::int64_t ni = row_elems ? tw : th;
-      for (std::int64_t o = 0; o < no; ++o) {
-        for (std::int64_t i = 0; i < ni; ++i) {
-          const std::int64_t r = row_elems ? o : i;
-          const std::int64_t c = row_elems ? i : o;
-          const T a = co_await ch_a.pop();
-          co_await ch_out.push(a + alpha * (xr[r] * yc[c] + yr[r] * xc[c]));
-          if (++in_cycle == W) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
-        }
-      }
-    }
-    co_await next_cycle();
-  }
+  return rank_update<T, 2>(
+      cfg, n, n, ch_a, {&ch_x_row, &ch_y_row}, {&ch_x_col, &ch_y_col}, ch_out,
+      [alpha](T a, const auto& row, const auto& col, std::int64_t r,
+              std::int64_t c) {
+        return a + alpha * (row[0][r] * col[1][c] + row[1][r] * col[0][c]);
+      });
 }
 
 struct TrsvConfig {

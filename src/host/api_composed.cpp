@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -478,103 +479,212 @@ void run_fallback(ComposedState<T>& st) {
 
 // ---- Checksum predictions ------------------------------------------------
 
-/// Per-pass stream values of one edge, evaluated in double over the host
-/// operands (matrices in row-major storage order).
+/// Per-pass stream values of one edge in double (matrices in row-major
+/// storage order): a bound operand read in place, or values this pass
+/// computed. `sum` and `asum` reduce them in element order.
+template <typename T>
 struct Flow {
-  std::vector<double> vals;
+  const T* src = nullptr;    ///< bound operand, converted on access
+  std::vector<double> vals;  ///< computed values, when src is null
+  std::int64_t n = 0;
   double sum = 0.0;
   double asum = 0.0;
   std::int64_t terms = 0;
 
-  void finalize() {
-    sum = asum = 0.0;
-    for (double v : vals) {
-      sum += v;
-      asum += std::abs(v);
-    }
+  double at(std::int64_t i) const {
+    return src != nullptr ? static_cast<double>(src[i])
+                          : vals[static_cast<std::size_t>(i)];
   }
 };
 
-mdag::EdgeChecksum scaled(const Flow& f, std::int64_t repeat) {
+/// Calls `fn` with the flow's values, as `const T*` or `const double*`.
+template <typename T, typename Fn>
+void with_values(const Flow<T>& f, Fn&& fn) {
+  if (f.src != nullptr) {
+    fn(f.src);
+  } else {
+    fn(static_cast<const double*>(f.vals.data()));
+  }
+}
+
+template <typename T>
+mdag::EdgeChecksum scaled(const Flow<T>& f, std::int64_t repeat) {
   const double r = static_cast<double>(std::max<std::int64_t>(1, repeat));
   return {f.sum * r, f.asum * r,
           f.terms * std::max<std::int64_t>(1, repeat)};
 }
 
+// The most flows one reduction pass takes. Their eight chains already
+// keep the floating-point adders busy; more would only lengthen it.
+constexpr std::size_t kSideBySide = 4;
+
+/// Sets sum and asum of fs[0..k) (all of one length), each chain in
+/// element order. Independent chains in one loop only overlap in time,
+/// so every result keeps its bits while the pass waits out one add
+/// latency per element instead of k.
+template <typename T, typename... P>
+void reduce_side_by_side(Flow<T>* const* fs, std::size_t k, const P*... v) {
+  constexpr std::size_t m = sizeof...(P);
+  if constexpr (m < kSideBySide) {
+    if (m < k) {
+      with_values(*fs[m], [&](const auto* p) {
+        reduce_side_by_side<T>(fs, k, v..., p);
+      });
+      return;
+    }
+  }
+  if constexpr (m > 0) {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      double sum[m] = {}, asum[m] = {};
+      const std::int64_t n = fs[0]->n;
+      for (std::int64_t i = 0; i < n; ++i) {
+        ((sum[I] += static_cast<double>(v[i]),
+          asum[I] += std::abs(static_cast<double>(v[i]))),
+         ...);
+      }
+      ((fs[I]->sum = sum[I], fs[I]->asum = asum[I]), ...);
+    }(std::index_sequence_for<P...>{});
+  }
+}
+
+/// acc[i] = sum_j op(A)(i, j) x[j] for a rows x cols A, every sum in
+/// ascending j from 0.0.
+template <typename PA, typename PX>
+void gemv_sums(Transpose trans, std::int64_t rows, std::int64_t cols,
+               const PA* a, const PX* x, double* acc) {
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  if (trans == Transpose::None) {
+    // Four rows' sums side by side.
+    std::int64_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+      const PA* r = a + i * cols;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const double xj = d(x[j]);
+        s0 += d(r[j]) * xj;
+        s1 += d(r[cols + j]) * xj;
+        s2 += d(r[2 * cols + j]) * xj;
+        s3 += d(r[3 * cols + j]) * xj;
+      }
+      acc[i] = s0;
+      acc[i + 1] = s1;
+      acc[i + 2] = s2;
+      acc[i + 3] = s3;
+    }
+    for (; i < rows; ++i) {
+      double s = 0.0;
+      for (std::int64_t j = 0; j < cols; ++j) s += d(a[i * cols + j]) * d(x[j]);
+      acc[i] = s;
+    }
+  } else {
+    // A^T x with the loops interchanged: A is read row by row in storage
+    // order, and each output still takes its terms in ascending j.
+    std::fill(acc, acc + cols, 0.0);
+    for (std::int64_t j = 0; j < rows; ++j) {
+      const double xj = d(x[j]);
+      const PA* r = a + j * cols;
+      for (std::int64_t i = 0; i < cols; ++i) acc[i] += d(r[i]) * xj;
+    }
+  }
+}
+
+}  // namespace
+
 template <typename T>
-void prepare_predictions(ComposedState<T>& st) {
-  const mdag::Mdag& g = st.comp.graph();
-  const mdag::Compiled& cp = st.cp;
-  const auto& sem = st.comp.semantics();
-  const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
-  std::vector<Flow> flow(g.edges().size());
-  st.audits.clear();
+CompositionPredictions predict_checksums(const Composition<T>& comp,
+                                         const mdag::Compiled& cp) {
+  const mdag::Mdag& g = comp.graph();
+  const auto& sem = comp.semantics();
+  // Edges share flows: every branch of a fan-out, and every out-edge of a
+  // reader that streams the same elements, points at one Flow.
+  std::deque<Flow<T>> store;
+  std::vector<Flow<T>*> flow(g.edges().size(), nullptr);
+  // Flows whose sums are still owed; reduced together at the end.
+  std::vector<Flow<T>*> pending;
+  struct Audit {
+    int node;
+    const Flow<T>* in;
+    std::int64_t repeat;
+  };
+  std::vector<Audit> audits;
 
   for (int u : g.topo_order()) {
     const mdag::Node& node = g.node(u);
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
     const auto ins = cp.in_edges(g, u);
     const auto outs = cp.out_edges(g, u);
-    const auto in_flow = [&](std::size_t port) -> const Flow& {
-      return flow[static_cast<std::size_t>(ins[port])];
+    const auto in_flow = [&](std::size_t port) -> const Flow<T>& {
+      return *flow[static_cast<std::size_t>(ins[port])];
     };
 
     if (node.type == mdag::NodeType::Interface && !s.is_output) {
-      const Buffer<T>& buf = *st.comp.binding(u).in;
+      const Buffer<T>& buf = *comp.binding(u).in;
       for (int e : outs) {
-        Flow& f = flow[static_cast<std::size_t>(e)];
-        if (s.triangular) {
-          const std::int64_t n = trsv_dim(g, cp, g.edge(e).to);
-          const auto a = buf.cmat(n, n);
-          const Uplo tri = op_uplo_of(s);
-          for (std::int64_t i = 0; i < n; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) {
-              if (tri == Uplo::Lower ? j > i : j < i) continue;
-              f.vals.push_back(static_cast<double>(
-                  s.trans == Transpose::None ? a(i, j) : a(j, i)));
-            }
-          }
-        } else {
-          const mdag::StreamSig& sig = g.edge(e).produced;
-          const std::int64_t n =
-              sig.is_matrix ? sig.rows * sig.cols : per_pass(sig);
-          const auto view = buf.cvec(n);
-          f.vals.resize(static_cast<std::size_t>(n));
-          for (std::int64_t i = 0; i < n; ++i) {
-            f.vals[static_cast<std::size_t>(i)] = static_cast<double>(view[i]);
+        const mdag::StreamSig& sig = g.edge(e).produced;
+        const std::int64_t tn =
+            s.triangular ? trsv_dim(g, cp, g.edge(e).to) : 0;
+        const std::int64_t n =
+            s.triangular ? tn * (tn + 1) / 2
+                         : (sig.is_matrix ? sig.rows * sig.cols : per_pass(sig));
+        Flow<T>*& f = flow[static_cast<std::size_t>(e)];
+        for (int prev : outs) {
+          if (prev == e) break;
+          if (flow[static_cast<std::size_t>(prev)]->n == n) {
+            f = flow[static_cast<std::size_t>(prev)];
           }
         }
-        f.terms = static_cast<std::int64_t>(f.vals.size());
-        f.finalize();
+        if (f != nullptr) continue;
+        f = &store.emplace_back();
+        f->n = f->terms = n;
+        pending.push_back(f);
+        if (!s.triangular) {
+          f->src = buf.cvec(n).data();
+          continue;
+        }
+        const auto a = buf.cmat(tn, tn);
+        const Uplo tri = op_uplo_of(s);
+        f->vals.reserve(static_cast<std::size_t>(n));
+        for (std::int64_t i = 0; i < tn; ++i) {
+          for (std::int64_t j = 0; j < tn; ++j) {
+            if (tri == Uplo::Lower ? j > i : j < i) continue;
+            f->vals.push_back(static_cast<double>(
+                s.trans == Transpose::None ? a(i, j) : a(j, i)));
+          }
+        }
       }
     } else if (node.type == mdag::NodeType::Interface) {
-      if (st.comp.binding(u).out != nullptr) {
-        st.audits.emplace_back(
-            u, scaled(in_flow(0), g.edge(ins[0]).consumed.repeat));
+      if (comp.binding(u).out != nullptr) {
+        audits.push_back({u, &in_flow(0), g.edge(ins[0]).consumed.repeat});
       }
     } else {
-      Flow out;
+      Flow<T>& out = store.emplace_back();
+      bool reduced = false;  // sums already set (the TRSV satellite rule)
       switch (node.kind) {
         case RoutineKind::Gemv: {
           const mdag::StreamSig& a = g.edge(ins[0]).consumed;
           const std::int64_t on = s.trans == Transpose::None ? a.rows : a.cols;
-          const std::int64_t in_n = s.trans == Transpose::None ? a.cols : a.rows;
-          const Flow& af = in_flow(0);
-          const Flow& xf = in_flow(1);
+          const Flow<T>& af = in_flow(0);
+          const Flow<T>& xf = in_flow(1);
           const double beta = cp.has_zero(u) ? 0.0 : s.beta;
           out.vals.resize(static_cast<std::size_t>(on));
-          for (std::int64_t i = 0; i < on; ++i) {
-            double acc = 0.0;
-            for (std::int64_t j = 0; j < in_n; ++j) {
-              const double av =
-                  s.trans == Transpose::None
-                      ? af.vals[static_cast<std::size_t>(i * a.cols + j)]
-                      : af.vals[static_cast<std::size_t>(j * a.cols + i)];
-              acc += av * xf.vals[static_cast<std::size_t>(j)];
+          double* acc = out.vals.data();
+          with_values(af, [&](const auto* av) {
+            with_values(xf, [&](const auto* xv) {
+              gemv_sums(s.trans, a.rows, a.cols, av, xv, acc);
+            });
+          });
+          if (ins.size() == 3) {
+            with_values(in_flow(2), [&](const auto* y0) {
+              for (std::int64_t i = 0; i < on; ++i) {
+                acc[i] = s.alpha * acc[i] + beta * static_cast<double>(y0[i]);
+              }
+            });
+          } else {
+            // The synthesized zero y0 still adds its term: it turns a
+            // -0.0 into +0.0, as the streamed module does.
+            for (std::int64_t i = 0; i < on; ++i) {
+              acc[i] = s.alpha * acc[i] + beta * 0.0;
             }
-            double y0 = 0.0;
-            if (ins.size() == 3) y0 = in_flow(2).vals[static_cast<std::size_t>(i)];
-            out.vals[static_cast<std::size_t>(i)] = s.alpha * acc + beta * y0;
           }
           out.terms = a.rows * a.cols + af.terms + xf.terms +
                       (ins.size() == 3 ? in_flow(2).terms : on);
@@ -582,18 +692,24 @@ void prepare_predictions(ComposedState<T>& st) {
         }
         case RoutineKind::Ger: {
           const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const Flow& af = in_flow(0);
-          const Flow& xf = in_flow(1);
-          const Flow& yf = in_flow(2);
+          const Flow<T>& af = in_flow(0);
+          const Flow<T>& xf = in_flow(1);
+          const Flow<T>& yf = in_flow(2);
           out.vals.resize(static_cast<std::size_t>(a.rows * a.cols));
-          for (std::int64_t i = 0; i < a.rows; ++i) {
-            for (std::int64_t j = 0; j < a.cols; ++j) {
-              out.vals[static_cast<std::size_t>(i * a.cols + j)] =
-                  af.vals[static_cast<std::size_t>(i * a.cols + j)] +
-                  s.alpha * xf.vals[static_cast<std::size_t>(i)] *
-                      yf.vals[static_cast<std::size_t>(j)];
-            }
-          }
+          double* o = out.vals.data();
+          with_values(af, [&](const auto* av) {
+            with_values(yf, [&](const auto* yv) {
+              for (std::int64_t i = 0; i < a.rows; ++i) {
+                const double ax = s.alpha * xf.at(i);
+                const auto* ar = av + i * a.cols;
+                double* orow = o + i * a.cols;
+                for (std::int64_t j = 0; j < a.cols; ++j) {
+                  orow[j] = static_cast<double>(ar[j]) +
+                            ax * static_cast<double>(yv[j]);
+                }
+              }
+            });
+          });
           out.terms = af.terms + xf.terms * yf.terms;
           break;
         }
@@ -601,9 +717,9 @@ void prepare_predictions(ComposedState<T>& st) {
           // Re-solve in double: the mdag::trsv_propagate rule, with the
           // b checksum folded into the bound.
           const std::int64_t n = trsv_dim(g, cp, u);
-          const Buffer<T>& abuf = *st.comp.binding(g.edge(ins[0]).from).in;
+          const Buffer<T>& abuf = *comp.binding(g.edge(ins[0]).from).in;
           const auto a = abuf.cmat(n, n);
-          const Flow& bf = in_flow(1);
+          const Flow<T>& bf = in_flow(1);
           const auto op = [&](std::int64_t i, std::int64_t j) {
             return static_cast<double>(s.trans == Transpose::None ? a(i, j)
                                                                   : a(j, i));
@@ -614,7 +730,7 @@ void prepare_predictions(ComposedState<T>& st) {
             const std::int64_t i = tri == Uplo::Lower ? k : n - 1 - k;
             const std::int64_t j0 = tri == Uplo::Lower ? 0 : i + 1;
             const std::int64_t j1 = tri == Uplo::Lower ? i : n;
-            double acc = bf.vals[static_cast<std::size_t>(i)];
+            double acc = bf.at(i);
             for (std::int64_t j = j0; j < j1; ++j) {
               acc -= op(i, j) * out.vals[static_cast<std::size_t>(j)];
             }
@@ -622,81 +738,108 @@ void prepare_predictions(ComposedState<T>& st) {
                 s.diag == Diag::Unit ? acc : acc / op(i, i);
           }
           out.terms = n * n + bf.terms;
-          out.finalize();
           // When b is a materialized operand, the satellite rule predicts
           // the same checksum straight from the bindings — use it.
           const mdag::Node& bprod = g.node(g.edge(ins[1]).from);
           if (bprod.type == mdag::NodeType::Interface) {
-            const Buffer<T>& bbuf = *st.comp.binding(g.edge(ins[1]).from).in;
+            const Buffer<T>& bbuf = *comp.binding(g.edge(ins[1]).from).in;
             const mdag::EdgeChecksum pc = mdag::trsv_propagate<T>(
                 s.uplo, s.trans, s.diag, abuf.cmat(n, n), bbuf.cvec(n));
             out.sum = pc.pred;
             out.asum = pc.mag;
             out.terms = pc.terms + bf.terms;
+            reduced = true;
           }
-          for (int e : outs) flow[static_cast<std::size_t>(e)] = out;
-          continue;  // finalized above; skip the generic epilogue
+          break;
         }
         case RoutineKind::Axpy: {
-          const Flow& xf = in_flow(0);
-          const Flow& yf = in_flow(1);
-          out.vals.resize(xf.vals.size());
-          for (std::size_t i = 0; i < out.vals.size(); ++i) {
-            out.vals[i] = s.alpha * xf.vals[i] + yf.vals[i];
-          }
+          const Flow<T>& xf = in_flow(0);
+          const Flow<T>& yf = in_flow(1);
+          out.vals.resize(static_cast<std::size_t>(xf.n));
+          double* o = out.vals.data();
+          with_values(xf, [&](const auto* xv) {
+            with_values(yf, [&](const auto* yv) {
+              for (std::int64_t i = 0; i < xf.n; ++i) {
+                o[i] = s.alpha * static_cast<double>(xv[i]) +
+                       static_cast<double>(yv[i]);
+              }
+            });
+          });
           out.terms = xf.terms + yf.terms;
           break;
         }
         case RoutineKind::Scal: {
-          const Flow& xf = in_flow(0);
-          out.vals.resize(xf.vals.size());
-          for (std::size_t i = 0; i < out.vals.size(); ++i) {
-            out.vals[i] = s.alpha * xf.vals[i];
-          }
+          const Flow<T>& xf = in_flow(0);
+          out.vals.resize(static_cast<std::size_t>(xf.n));
+          double* o = out.vals.data();
+          with_values(xf, [&](const auto* xv) {
+            for (std::int64_t i = 0; i < xf.n; ++i) {
+              o[i] = s.alpha * static_cast<double>(xv[i]);
+            }
+          });
           out.terms = xf.terms;
           break;
         }
         case RoutineKind::Dot: {
-          const Flow& xf = in_flow(0);
-          const Flow& yf = in_flow(1);
+          const Flow<T>& xf = in_flow(0);
+          const Flow<T>& yf = in_flow(1);
           double acc = 0.0;
-          for (std::size_t i = 0; i < xf.vals.size(); ++i) {
-            acc += xf.vals[i] * yf.vals[i];
-          }
+          with_values(xf, [&](const auto* xv) {
+            with_values(yf, [&](const auto* yv) {
+              for (std::int64_t i = 0; i < xf.n; ++i) {
+                acc += static_cast<double>(xv[i]) * static_cast<double>(yv[i]);
+              }
+            });
+          });
           out.vals = {acc};
-          out.terms = xf.terms + yf.terms +
-                      static_cast<std::int64_t>(xf.vals.size());
+          out.terms = xf.terms + yf.terms + xf.n;
           break;
         }
         default:
           throw ConfigError("composition: no checksum rule for node '" +
                             node.name + "'");
       }
-      out.finalize();
-      for (int e : outs) flow[static_cast<std::size_t>(e)] = out;
+      out.n = static_cast<std::int64_t>(out.vals.size());
+      if (!reduced) pending.push_back(&out);
+      for (int e : outs) flow[static_cast<std::size_t>(e)] = &out;
     }
   }
 
-  // Expectations per component, in the compiler's tap order (topological:
-  // check() reports the FIRST divergent FIFO).
-  st.chk.assign(cp.channels.size(), verify::GraphChecker());
+  // The owed sums, up to kSideBySide flows of one length per pass.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Flow<T>* a, const Flow<T>* b) { return a->n < b->n; });
+  for (std::size_t i = 0; i < pending.size();) {
+    std::size_t k = 1;
+    while (k < kSideBySide && i + k < pending.size() &&
+           pending[i + k]->n == pending[i]->n) {
+      ++k;
+    }
+    reduce_side_by_side<T>(pending.data() + i, k);
+    i += k;
+  }
+
+  CompositionPredictions p;
+  for (const Audit& a : audits) {
+    p.audits.emplace_back(a.node, scaled(*a.in, a.repeat));
+  }
+  // Per component, in the compiler's tap order.
+  p.taps.resize(cp.channels.size());
   for (std::size_t c = 0; c < cp.channels.size(); ++c) {
-    st.chk[c].reset(st.comp.name());
     for (const CompiledChannel& cc : cp.channels[c]) {
       mdag::EdgeChecksum pred;
       switch (cc.role) {
         case CompiledChannel::Role::Edge:
         case CompiledChannel::Role::Spill:
-          pred = scaled(flow[static_cast<std::size_t>(cc.id)],
+          pred = scaled(*flow[static_cast<std::size_t>(cc.id)],
                         g.edge(cc.id).produced.repeat);
           break;
         case CompiledChannel::Role::Readback:
-          pred = scaled(flow[static_cast<std::size_t>(cc.id)],
+          pred = scaled(*flow[static_cast<std::size_t>(cc.id)],
                         g.edge(cc.id).consumed.repeat);
           break;
         case CompiledChannel::Role::Trunk: {
           const int e0 = stream_branches(g, cp, cc.id)[0];
-          pred = scaled(flow[static_cast<std::size_t>(e0)],
+          pred = scaled(*flow[static_cast<std::size_t>(e0)],
                         g.edge(e0).produced.repeat);
           break;
         }
@@ -705,10 +848,30 @@ void prepare_predictions(ComposedState<T>& st) {
               cp.zero_count[cp.zero_index(cc.id)]);
           break;
       }
-      st.chk[c].expect(cc.name, pred, eps);
+      p.taps[c].push_back(pred);
+    }
+  }
+  return p;
+}
+
+namespace {
+
+template <typename T>
+void prepare_predictions(ComposedState<T>& st) {
+  CompositionPredictions p = predict_checksums(st.comp, st.cp);
+  st.audits = std::move(p.audits);
+  // Expectations per component, in the compiler's tap order (topological:
+  // check() reports the FIRST divergent FIFO).
+  const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
+  st.chk.assign(st.cp.channels.size(), verify::GraphChecker());
+  for (std::size_t c = 0; c < st.cp.channels.size(); ++c) {
+    st.chk[c].reset(st.comp.name());
+    for (std::size_t k = 0; k < st.cp.channels[c].size(); ++k) {
+      st.chk[c].expect(st.cp.channels[c][k].name, p.taps[c][k], eps);
     }
   }
 }
+
 
 template <typename T>
 void check_results(const ComposedState<T>& st, double scale) {
@@ -733,17 +896,12 @@ void check_results(const ComposedState<T>& st, double scale) {
 template <typename T>
 Event Context::run_composition_async(const Composition<T>& comp) {
   const RoutineConfig& rc = config();
-  mdag::CompileOptions co;
-  co.width = rc.width;
-  co.max_channel_depth = comp.max_channel_depth();
-  co.prefer_sizing = !comp.split_preferred();
-  co.allow_split = !comp.streaming_required();
-
   auto st = std::make_shared<ComposedState<T>>(comp);
   // Rejection happens HERE, at enqueue: an unexecutable description
   // throws ConfigError with the validity diagnostic before any command
   // is queued.
-  st->cp = mdag::compile(comp.graph(), comp.semantics(), co);
+  st->cp = mdag::compile(comp.graph(), comp.semantics(),
+                         comp.compile_options(rc.width));
   st->audit_label = comp.name() + "_composed";
 
   const mdag::Mdag& g = st->comp.graph();
@@ -835,6 +993,10 @@ Event Context::run_composition_async(const Composition<T>& comp,
   return run_composition_async(comp);
 }
 
+template CompositionPredictions predict_checksums<float>(
+    const Composition<float>&, const mdag::Compiled&);
+template CompositionPredictions predict_checksums<double>(
+    const Composition<double>&, const mdag::Compiled&);
 template Event Context::run_composition_async<float>(const Composition<float>&);
 template Event Context::run_composition_async<double>(
     const Composition<double>&);

@@ -29,6 +29,7 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "host/buffer.hpp"
+#include "mdag/checksum.hpp"
 #include "mdag/compile.hpp"
 
 namespace fblas::host {
@@ -200,6 +201,16 @@ class Composition {
   std::int64_t max_channel_depth() const { return max_channel_depth_; }
   bool streaming_required() const { return require_streaming_; }
   bool split_preferred() const { return prefer_split_; }
+  /// The options Context::run_composition compiles this description
+  /// with, for modules of vector width `width`.
+  mdag::CompileOptions compile_options(int width) const {
+    mdag::CompileOptions co;
+    co.width = width;
+    co.max_channel_depth = max_channel_depth_;
+    co.prefer_sizing = !prefer_split_;
+    co.allow_split = !require_streaming_;
+    return co;
+  }
 
  private:
   void append(const std::string& operand, Binding b) {
@@ -229,5 +240,24 @@ class Composition {
   bool require_streaming_ = false;
   bool prefer_split_ = false;
 };
+
+/// What a verified run of a composition is checked against.
+struct CompositionPredictions {
+  /// Per compiled component, the predicted checksum of every tapped
+  /// channel, parallel to mdag::Compiled::channels[c].
+  std::vector<std::vector<mdag::EdgeChecksum>> taps;
+  /// Per buffer writer (node id), the predicted checksum of the
+  /// materialized output (catches corruption past the last FIFO tap).
+  std::vector<std::pair<int, mdag::EdgeChecksum>> audits;
+};
+
+/// The prediction pass of a verified composition: every edge replayed
+/// forward in double over the bound DRAM operands, in topological order,
+/// and reduced to (sum, magnitude, terms). `cp` is mdag::compile's plan
+/// for `comp`. Context::run_composition runs this as the command's
+/// verify_prepare hook.
+template <typename T>
+CompositionPredictions predict_checksums(const Composition<T>& comp,
+                                         const mdag::Compiled& cp);
 
 }  // namespace fblas::host

@@ -1,4 +1,4 @@
-// Checksum-propagation rules for module DAGs (streaming ABFT).
+// Checksum rules for module DAGs (streaming ABFT).
 //
 // A Huang–Abraham checksum of an edge is a weighted sum w^T v of the
 // values v that cross it. For the *linear* modules the paper composes
@@ -13,14 +13,20 @@
 //   FANOUT each copy carries the input checksum unchanged
 //   READ   the edge checksum is computable from the host operand
 //
-// Composing pullbacks from a graph's outputs to its DRAM inputs yields a
-// *predicted* checksum for every edge as a few O(nm) host passes over the
-// materialized inputs only — no intermediate stream is ever stored for
-// the checker. DOT is bilinear, not linear: its result is predicted by
-// recomputing x^T y in double over the host operands feeding it
-// (directly, or through the linear pullbacks of whatever produced them).
+// Composed from a graph's outputs to its DRAM inputs, these pullbacks
+// would predict every edge from the materialized inputs alone. DOT and
+// GER are bilinear and TRSV has no sparse pullback; their rules
+// recompute in double over the host operands instead.
 //
-// verify::GraphChecker pairs these predictions with the channel taps
+// The composition compiler does not compose these rules. Its prediction
+// pass (host::predict_checksums) replays every edge forward in double
+// over the bound operands, holding one double vector per compute node's
+// output on the host, and reduces each edge to (sum, magnitude, terms).
+// It calls only zero_checksum and, for a TRSV whose b is a materialized
+// operand, trsv_propagate. The other rules are the algebra that replay
+// rests on; tests/test_verify.cpp checks them against realized streams.
+//
+// verify::GraphChecker pairs predictions with the channel taps
 // (stream::ChannelBase) that observe the realized checksums, localizing
 // a divergence to the first corrupted edge.
 //

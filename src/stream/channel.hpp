@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -44,6 +45,12 @@ class ChannelBase {
   /// that pops before it pushes then steps element by element, so a
   /// trap leaves its inputs where the per-element schedule would.
   bool push_may_throw() const { return sched_->taint_trap(); }
+  /// Graph-wide floating-point pushes until an armed corruption fires,
+  /// counting the targeted one; 0 when none is armed
+  /// (Scheduler::corrupt_countdown).
+  std::uint64_t corrupt_countdown() const {
+    return sched_->corrupt_countdown();
+  }
 
   std::uint64_t total_pushed() const { return total_pushed_; }
   std::uint64_t total_popped() const { return total_popped_; }
@@ -212,23 +219,18 @@ class Channel : public ChannelBase {
     n = std::min(n, room());
     if (n == 0) return 0;
     if constexpr (kHooked) {
-      if (screening()) {
-        if (sched_->corrupt_armed() || sched_->taint_trap()) {
-          // A corruption target or a trapping NaN may sit mid-burst: run
-          // the pushes one by one so each fires on exactly its element.
-          for (std::size_t i = 0; i < n; ++i) try_put(src[i]);
-          return n;
-        }
-        // Taint recording alone neither alters a value nor throws.
-        for (std::size_t i = 0; i < n; ++i) screen(src[i]);
+      const std::uint64_t left = sched_->corrupt_countdown();
+      if (left != 0 && left <= n) {
+        // The targeted push is in this burst: split around it, so the
+        // corruption fires on exactly its element.
+        const auto k = static_cast<std::size_t>(left - 1);
+        put_burst(src, k);
+        try_put(src[k]);
+        put_burst(src + k + 1, n - k - 1);
+        return n;
       }
-      if (tap_armed_) tap_accumulate(src, n);
     }
-    const std::size_t tail = (head_ + count_) & mask_;
-    const std::size_t first = std::min(n, buf_.size() - tail);
-    std::copy_n(src, first, buf_.begin() + static_cast<std::ptrdiff_t>(tail));
-    std::copy_n(src + first, n - first, buf_.begin());
-    note_pushed(n);
+    put_burst(src, n);
     return n;
   }
   bool try_take(T& out) {
@@ -259,6 +261,40 @@ class Channel : public ChannelBase {
   // scheduler.
   bool screening() const {
     return sched_->corrupt_armed() || sched_->taint_enabled();
+  }
+
+  // Pushes n <= room() values none of which is an armed corruption's
+  // target. Taint screening is one finiteness test per burst; only a
+  // burst holding a NaN/Inf steps element by element, so its provenance
+  // (and a trap's throw) lands on exactly that element.
+  void put_burst(const T* src, std::size_t n) {
+    if (n == 0) return;
+    if constexpr (kHooked) {
+      if (sched_->taint_enabled() && !all_finite(src, n)) {
+        for (std::size_t i = 0; i < n; ++i) try_put(src[i]);
+        return;
+      }
+      if (sched_->corrupt_armed()) sched_->corrupt_skip(n);
+      if (tap_armed_) tap_accumulate(src, n);
+    }
+    const std::size_t tail = (head_ + count_) & mask_;
+    const std::size_t first = std::min(n, buf_.size() - tail);
+    std::copy_n(src, first, buf_.begin() + static_cast<std::ptrdiff_t>(tail));
+    std::copy_n(src + first, n - first, buf_.begin());
+    note_pushed(n);
+  }
+
+  // True when no value has an all-ones exponent (NaN or ±Inf), tested
+  // without a branch per element.
+  static bool all_finite(const T* v, std::size_t n) {
+    constexpr auto kExp =
+        std::bit_cast<BitsOf>(std::numeric_limits<T>::infinity());
+    BitsOf nonfinite = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      nonfinite |= static_cast<BitsOf>(
+          (std::bit_cast<BitsOf>(v[i]) & kExp) == kExp);
+    }
+    return nonfinite == 0;
   }
   T screen(T value) {
     // Injected in-flight corruption: when the scheduler's counter says

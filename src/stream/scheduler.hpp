@@ -147,6 +147,15 @@ class Scheduler {
   /// one. Records the victim channel and producing module for the
   /// localization diagnostics. Called by Channel<T>::try_put.
   bool corrupt_hits(const ChannelBase& ch);
+  /// Floating-point pushes until the armed corruption fires, counting
+  /// the targeted one (>= 1); 0 when none is armed. A burst shorter than
+  /// this cannot hold the victim.
+  std::uint64_t corrupt_countdown() const {
+    return corrupt_armed() ? corrupt_target_ - corrupt_seen_ : 0;
+  }
+  /// Counts `n` floating-point pushes at once; the caller guarantees
+  /// n < corrupt_countdown(), so none of them is the targeted one.
+  void corrupt_skip(std::uint64_t n) { corrupt_seen_ += n; }
   /// True once the armed corruption actually fired (the graph pushed at
   /// least `target` floating-point values).
   bool corruption_fired() const { return corrupt_fired_; }

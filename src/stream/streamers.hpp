@@ -238,9 +238,15 @@ Task sink(std::int64_t n, int width, Channel<T>& in) {
 }
 
 /// Duplicates a stream of n elements into two downstream channels (the
-/// shared-A interface module of the BICG composition, Fig. 7). Bursts
-/// keep the per-element push order a0 b0 a1 b1 … so a corruption or
-/// taint counter sees the same sequence.
+/// shared-A interface module of the BICG composition, Fig. 7).
+///
+/// Per element the pushes go a0 b0 a1 b1 …; a burst of m pushes a0..am-1
+/// and then b0..bm-1. Both orders leave the same per-channel values,
+/// taps, totals and peaks and wake a's consumer before b's, and both
+/// record the first NaN/Inf at the same element on branch a (b carries
+/// the same values). Only the graph-wide corruption counter tells them
+/// apart, so a burst holding the targeted push splits around its element
+/// e: a0..ae-1, b0..be-1, then ae be singly, then the rest as bursts.
 template <typename T>
 Task fanout2(std::int64_t n, int width, Channel<T>& in, Channel<T>& out_a,
              Channel<T>& out_b) {
@@ -261,9 +267,17 @@ Task fanout2(std::int64_t n, int width, Channel<T>& in, Channel<T>& out_a,
         continue;
       }
       in.try_take_n(burst.data(), m);
-      for (std::size_t e = 0; e < m; ++e) {
+      const std::uint64_t left = out_a.corrupt_countdown();
+      const std::size_t e =
+          left != 0 && left <= 2 * m ? static_cast<std::size_t>(left - 1) / 2
+                                     : m;
+      out_a.try_put_n(burst.data(), e);
+      out_b.try_put_n(burst.data(), e);
+      if (e < m) {
         out_a.try_put(burst[e]);
         out_b.try_put(burst[e]);
+        out_a.try_put_n(burst.data() + e + 1, m - e - 1);
+        out_b.try_put_n(burst.data() + e + 1, m - e - 1);
       }
       k += static_cast<std::int64_t>(m);
     }

@@ -1,11 +1,12 @@
 // End-to-end checksum verification of a streaming composition.
 //
-// A GraphChecker pairs per-edge *predictions* (computed by the
-// mdag/checksum propagation rules as a few host passes over the
-// composition's materialized DRAM inputs) with per-edge *observations*
-// (the channel taps armed on the graph's channels). No intermediate
-// stream is ever stored for the checker: the taps accumulate in flight
-// and the predictions never need the intermediates' values.
+// A GraphChecker pairs per-edge *predictions* with per-edge
+// *observations* (the channel taps armed on the graph's channels). For a
+// compiled composition the predictions come from
+// host::predict_checksums, which replays every edge forward in double
+// over the composition's DRAM operands on the host. The device never
+// stores an intermediate stream for the checker: the taps accumulate in
+// flight.
 //
 // Lifecycle, matching the executor's two-phase verification hooks (the
 // streaming graph is rebuilt inside the command body on every attempt and

@@ -1,11 +1,11 @@
 // The generic MDAG composition compiler, end to end: descriptions are
 // rejected at enqueue with the validity diagnostic, the compiled apps
-// reproduce their golden plans, cycle counts and output bits, a pinned
-// channel depth is honoured exactly (an undersized pin deadlocks), the
-// composed GEMVER/GESUMMV match refblas (serially and on the worker
-// pool), and in-flight corruption is caught on every compiled composition
-// (sdc_caught == faults_injected) with the divergence localized to the
-// injector's ground-truth channel.
+// reproduce their golden plans, cycle counts, output bits and checksum
+// predictions, a pinned channel depth is honoured exactly (an undersized
+// pin deadlocks), the composed GEMVER/GESUMMV match refblas (serially and
+// on the worker pool), and in-flight corruption is caught on every
+// compiled composition (sdc_caught == faults_injected) with the
+// divergence localized to the injector's ground-truth channel.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -180,17 +180,17 @@ struct ParityBoard {
     b.write(host);
     return b;
   }
-  // Compiles `c` as run_composition does, checks the plan against the
-  // golden one, runs it and checks the cycle count.
+  // Compiles `c` as run_composition does.
+  mdag::Compiled compile(const host::Composition<float>& c) const {
+    return mdag::compile(c.graph(), c.semantics(),
+                         c.compile_options(ctx.config().width));
+  }
+  // Checks the plan of `c` against the golden one, runs it and checks
+  // the cycle count.
   void expect(const host::Composition<float>& c, const std::string& summary,
               const std::vector<std::int64_t>& edge_depth,
               std::uint64_t cycles) {
-    mdag::CompileOptions co;
-    co.width = ctx.config().width;
-    co.max_channel_depth = c.max_channel_depth();
-    co.prefer_sizing = !c.split_preferred();
-    co.allow_split = !c.streaming_required();
-    const mdag::Compiled cp = mdag::compile(c.graph(), c.semantics(), co);
+    const mdag::Compiled cp = compile(c);
     EXPECT_EQ(cp.summary, summary);
     EXPECT_EQ(cp.edge_depth, edge_depth);
     ctx.run_composition(c);
@@ -276,6 +276,106 @@ TEST(ComposeGolden, GemverParityPlanAndCycles) {
            "compiled '2 component(s), 2 cut edge(s), 0 sized channel(s)': "
            "composition is a valid multitree: fully streaming",
            {64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 0, 0, 64, 64}, 8241);
+}
+
+TEST(ComposeGolden, PredictionBits) {
+  // Every (pred, mag, terms) a verified run of the five apps is checked
+  // against, at the parity shapes above: the channel taps of each
+  // component in tap order, then the writer audits. Recorded from the
+  // prediction pass that still copied every reader edge and replayed
+  // the transposed GEMV column by column; restructuring the pass must
+  // not move a bit.
+  const auto hash = [](const host::CompositionPredictions& p) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto add = [&h](const mdag::EdgeChecksum& c) {
+      h = fnv1a(&c.pred, sizeof c.pred, h);
+      h = fnv1a(&c.mag, sizeof c.mag, h);
+      h = fnv1a(&c.terms, sizeof c.terms, h);
+    };
+    for (const auto& component : p.taps) {
+      const std::uint64_t n = component.size();
+      h = fnv1a(&n, sizeof n, h);
+      for (const auto& c : component) add(c);
+    }
+    for (const auto& [node, c] : p.audits) {
+      h = fnv1a(&node, sizeof node, h);
+      add(c);
+    }
+    return h;
+  };
+  const auto predicted = [&](ParityBoard& b,
+                             const host::Composition<float>& c) {
+    return hash(host::predict_checksums(c, b.compile(c)));
+  };
+  const std::int64_t n = 256;
+  const std::vector<float> zn(static_cast<std::size_t>(n));
+  {
+    Workload wl(15);
+    ParityBoard b;
+    const std::int64_t len = 1 << 15;
+    auto w = b.upload(wl.vector<float>(len), 0);
+    auto v = b.upload(wl.vector<float>(len), 1);
+    auto u = b.upload(wl.vector<float>(len), 2);
+    float beta = 0.0f;
+    EXPECT_EQ(predicted(b, apps::axpydot_composition<float>(len, w, v, u,
+                                                            2.0f, &beta)),
+              0xc3847bdff3d865d6ull)
+        << "AXPYDOT";
+  }
+  {
+    Workload wl(16);
+    ParityBoard b;
+    auto a = b.upload(wl.matrix<float>(n, n), 0);
+    auto x = b.upload(wl.vector<float>(n), 1);
+    auto y = b.upload(zn, 2);
+    EXPECT_EQ(predicted(b, apps::atax_composition<float>(b.ctx, n, n, a, x, y)),
+              0x36f0d8b1923c6099ull)
+        << "ATAX";
+  }
+  {
+    Workload wl(17);
+    ParityBoard b;
+    auto a = b.upload(wl.matrix<float>(n, n), 0);
+    auto p = b.upload(wl.vector<float>(n), 1);
+    auto r = b.upload(wl.vector<float>(n), 2);
+    auto q = b.upload(zn, 3);
+    auto s = b.upload(zn, 3);
+    EXPECT_EQ(predicted(b, apps::bicg_composition<float>(b.ctx, n, n, a, p, r,
+                                                         q, s)),
+              0xd6c0ee79243eaa38ull)
+        << "BICG";
+  }
+  {
+    Workload wl(18);
+    ParityBoard b;
+    auto a = b.upload(wl.matrix<float>(n, n), 0);
+    auto bb = b.upload(wl.matrix<float>(n, n), 1);
+    auto x = b.upload(wl.vector<float>(n), 2);
+    auto y = b.upload(zn, 3);
+    EXPECT_EQ(predicted(b, apps::gesummv_composition<float>(
+                               b.ctx, n, n, 1.5f, -0.5f, a, bb, x, y)),
+              0x39269cc4e710db6dull)
+        << "GESUMMV";
+  }
+  {
+    Workload wl(19);
+    ParityBoard b;
+    auto a = b.upload(wl.matrix<float>(n, n), 0);
+    auto u1 = b.upload(wl.vector<float>(n), 1);
+    auto v1 = b.upload(wl.vector<float>(n), 2);
+    auto u2 = b.upload(wl.vector<float>(n), 3);
+    auto v2 = b.upload(wl.vector<float>(n), 1);
+    auto y = b.upload(wl.vector<float>(n), 2);
+    auto z = b.upload(wl.vector<float>(n), 3);
+    auto B = b.upload(std::vector<float>(static_cast<std::size_t>(n * n)), 1);
+    auto x = b.upload(zn, 2);
+    auto w = b.upload(zn, 3);
+    EXPECT_EQ(predicted(b, apps::gemver_composition<float>(
+                               b.ctx, n, 1.5f, 0.5f, a, u1, v1, u2, v2, y, z,
+                               B, x, w)),
+              0xeb8157c0a63c0d4aull)
+        << "GEMVER";
+  }
 }
 
 // --- Pinned channel depths --------------------------------------------------

@@ -509,13 +509,14 @@ TEST(Streamers, GenerateAndSinkBalance) {
 
 // ---- Burst transfers are element-exact ------------------------------------
 //
-// The streamers and the SCAL/AXPY/DOT/GEMV modules move bursts through
-// try_put_n / try_take_n. These tests run seeded random graphs twice:
-// once with the per-element modules below (one await per element, kept
-// as the oracle) and once with the library's. Every per-element
-// observable must match: cycles, stalls, channel counters and peaks,
-// module resumes, per-cycle occupancy, DRAM bytes, output bits, and the
-// fault hooks' victims.
+// The streamers, the fan-out and the SCAL/AXPY/DOT/GEMV/GER/SYR2 modules
+// move bursts through try_put_n / try_take_n. These tests run seeded
+// random graphs twice: once with the per-element modules below (one
+// await per element, kept as the oracle) and once with the library's.
+// Every per-element observable must match: cycles, stalls, channel
+// counters and peaks, module resumes, per-cycle occupancy, DRAM bytes,
+// output bits, every channel's checksum tap, and the fault hooks'
+// victims.
 
 namespace per_element {
 
@@ -809,6 +810,120 @@ Task gemv(core::GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   }
 }
 
+template <typename T>
+Task ger(core::GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
+         Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
+         Channel<T>& ch_out) {
+  cfg.validate();
+  const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
+  const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
+  const int W = cfg.width;
+  const bool by_rows = cfg.tiling == core::MatrixTiling::TilesByRows;
+  std::vector<T> rbuf(static_cast<std::size_t>(TN));
+  std::vector<T> cbuf(static_cast<std::size_t>(TM));
+  const std::int64_t outer = by_rows ? nti : ntj;
+  const std::int64_t inner = by_rows ? ntj : nti;
+  for (std::int64_t to = 0; to < outer; ++to) {
+    for (std::int64_t tin = 0; tin < inner; ++tin) {
+      const std::int64_t ti = by_rows ? to : tin;
+      const std::int64_t tj = by_rows ? tin : to;
+      const std::int64_t th = std::min(TN, rows - ti * TN);
+      const std::int64_t tw = std::min(TM, cols - tj * TM);
+      if (by_rows) {
+        if (tin == 0) {
+          for (std::int64_t r = 0; r < th; ++r) rbuf[r] = co_await ch_x.pop();
+        }
+        for (std::int64_t c = 0; c < tw; ++c) cbuf[c] = co_await ch_y.pop();
+      } else {
+        if (tin == 0) {
+          for (std::int64_t c = 0; c < tw; ++c) cbuf[c] = co_await ch_y.pop();
+        }
+        for (std::int64_t r = 0; r < th; ++r) rbuf[r] = co_await ch_x.pop();
+      }
+      int in_cycle = 0;
+      const bool row_elems = cfg.elem_order == Order::RowMajor;
+      const std::int64_t no = row_elems ? th : tw;
+      const std::int64_t ni = row_elems ? tw : th;
+      for (std::int64_t o = 0; o < no; ++o) {
+        for (std::int64_t i = 0; i < ni; ++i) {
+          const std::int64_t r = row_elems ? o : i;
+          const std::int64_t c = row_elems ? i : o;
+          const T a = co_await ch_a.pop();
+          co_await ch_out.push(a + alpha * rbuf[r] * cbuf[c]);
+          if (++in_cycle == W) {
+            in_cycle = 0;
+            co_await next_cycle();
+          }
+        }
+      }
+    }
+    co_await next_cycle();
+  }
+}
+
+template <typename T>
+Task syr2(core::GerConfig cfg, std::int64_t n, T alpha, Channel<T>& ch_a,
+          Channel<T>& ch_x_row, Channel<T>& ch_x_col, Channel<T>& ch_y_row,
+          Channel<T>& ch_y_col, Channel<T>& ch_out) {
+  cfg.validate();
+  const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
+  const std::int64_t nti = ceil_div(n, TN), ntj = ceil_div(n, TM);
+  const int W = cfg.width;
+  const bool by_rows = cfg.tiling == core::MatrixTiling::TilesByRows;
+  std::vector<T> xr(static_cast<std::size_t>(TN)), yr(static_cast<std::size_t>(TN));
+  std::vector<T> xc(static_cast<std::size_t>(TM)), yc(static_cast<std::size_t>(TM));
+  const std::int64_t outer = by_rows ? nti : ntj;
+  const std::int64_t inner = by_rows ? ntj : nti;
+  for (std::int64_t to = 0; to < outer; ++to) {
+    for (std::int64_t tin = 0; tin < inner; ++tin) {
+      const std::int64_t ti = by_rows ? to : tin;
+      const std::int64_t tj = by_rows ? tin : to;
+      const std::int64_t th = std::min(TN, n - ti * TN);
+      const std::int64_t tw = std::min(TM, n - tj * TM);
+      if (by_rows) {
+        if (tin == 0) {
+          for (std::int64_t r = 0; r < th; ++r) {
+            xr[r] = co_await ch_x_row.pop();
+            yr[r] = co_await ch_y_row.pop();
+          }
+        }
+        for (std::int64_t c = 0; c < tw; ++c) {
+          xc[c] = co_await ch_x_col.pop();
+          yc[c] = co_await ch_y_col.pop();
+        }
+      } else {
+        if (tin == 0) {
+          for (std::int64_t c = 0; c < tw; ++c) {
+            xc[c] = co_await ch_x_col.pop();
+            yc[c] = co_await ch_y_col.pop();
+          }
+        }
+        for (std::int64_t r = 0; r < th; ++r) {
+          xr[r] = co_await ch_x_row.pop();
+          yr[r] = co_await ch_y_row.pop();
+        }
+      }
+      int in_cycle = 0;
+      const bool row_elems = cfg.elem_order == Order::RowMajor;
+      const std::int64_t no = row_elems ? th : tw;
+      const std::int64_t ni = row_elems ? tw : th;
+      for (std::int64_t o = 0; o < no; ++o) {
+        for (std::int64_t i = 0; i < ni; ++i) {
+          const std::int64_t r = row_elems ? o : i;
+          const std::int64_t c = row_elems ? i : o;
+          const T a = co_await ch_a.pop();
+          co_await ch_out.push(a + alpha * (xr[r] * yc[c] + yr[r] * xc[c]));
+          if (++in_cycle == W) {
+            in_cycle = 0;
+            co_await next_cycle();
+          }
+        }
+      }
+    }
+    co_await next_cycle();
+  }
+}
+
 }  // namespace per_element
 
 /// A consumer-rate limiter: forwards n elements, `rate` per cycle, one
@@ -835,6 +950,7 @@ struct Observed {
   std::uint64_t taint_cycle = 0, taint_bits = 0;
   bool corrupted = false;
   std::string corrupt_channel, corrupt_module;
+  std::vector<std::uint64_t> tap_bits;  // per channel: sum, mag, count
 };
 
 /// Names the first field where two runs differ ("" when they match).
@@ -861,6 +977,7 @@ std::string mismatch(const Observed& got, const Observed& want) {
   field("corruption", std::tie(got.corrupted, got.corrupt_channel,
                                got.corrupt_module),
         std::tie(want.corrupted, want.corrupt_channel, want.corrupt_module));
+  field("checksum taps", got.tap_bits, want.tap_bits);
   if (got.error != want.error) {
     os << " (got '" << got.error << "', want '" << want.error << "')";
   }
@@ -880,6 +997,7 @@ Observed observe(Graph& g, const std::vector<DramBank*>& banks,
                  const Faults& f) {
   Scheduler& s = g.scheduler();
   s.enable_occupancy_trace();
+  for (const auto& ch : g.channels()) ch->arm_tap();
   if (f.taint) s.enable_taint(f.trap);
   if (f.corrupt_k != 0) s.corrupt_push(f.corrupt_k);
   Observed o;
@@ -897,6 +1015,9 @@ Observed observe(Graph& g, const std::vector<DramBank*>& banks,
     o.stalls.push_back(ch.stall_events());
     o.peaks.push_back(ch.peak_occupancy());
     o.occupancy.push_back(s.occupancy_trace(c));
+    o.tap_bits.push_back(std::bit_cast<std::uint64_t>(ch.tap_sum()));
+    o.tap_bits.push_back(std::bit_cast<std::uint64_t>(ch.tap_mag()));
+    o.tap_bits.push_back(ch.tap_count());
   }
   for (std::size_t m = 0; m < s.module_count(); ++m) {
     o.resumes.push_back(s.module_resumes(static_cast<int>(m)));
@@ -1198,6 +1319,261 @@ TEST(BurstExactness, MidBurstCorruptionHitsTheSameElement) {
     expect_corruption_matches(VectorCase(rng), rng);
     expect_corruption_matches(GemvCase(rng), rng);
   }
+}
+
+/// A random fan-out: a metered reader feeds fanout2, whose branches drain
+/// through throttles of their own rates into a metered and an unmetered
+/// writer. The branch consumers are spawned in random order.
+struct FanoutCase {
+  std::int64_t n;
+  int width, rate[2];
+  bool b_first;
+  std::size_t caps[5];
+  double bank_bytes;
+  std::vector<float> x;
+
+  explicit FanoutCase(std::mt19937& rng) {
+    auto pick = [&](int k) {
+      return std::uniform_int_distribution<int>(0, k - 1)(rng);
+    };
+    n = 1 + pick(300);
+    width = kWidths[pick(3)];
+    for (auto& r : rate) r = 1 + pick(2 * width);
+    b_first = pick(2) == 1;
+    for (auto& c : caps) c = kCaps[pick(6)];
+    bank_bytes = 2.0 + 8.0 * pick(12);
+    x = Workload(rng()).vector<float>(n);
+  }
+
+  /// Puts a NaN or Inf at a random element of the input.
+  void poison(std::mt19937& rng) {
+    const auto j = std::uniform_int_distribution<std::int64_t>(0, n - 1)(rng);
+    x[static_cast<std::size_t>(j)] =
+        rng() % 2 ? std::numeric_limits<float>::quiet_NaN()
+                  : -std::numeric_limits<float>::infinity();
+  }
+
+  Observed run(bool burst, Mode mode, const Faults& f = {}) const {
+    Graph g(mode);
+    std::vector<DramBank*> banks{&g.bank("ddr", bank_bytes)};
+    std::vector<Channel<float>*> ch;
+    for (int c = 0; c < 5; ++c) {
+      ch.push_back(&g.channel<float>("c" + std::to_string(c), caps[c]));
+    }
+    std::vector<float> out_a(x.size()), out_b(x.size());
+    const VectorView<const float> cx(x.data(), n);
+    const VectorView<float> va(out_a.data(), n), vb(out_b.data(), n);
+    if (burst) {
+      g.spawn("rx", read_vector<float>(cx, 1, width, *ch[0], banks[0]));
+      g.spawn("fan", fanout2<float>(n, width, *ch[0], *ch[1], *ch[2]));
+    } else {
+      g.spawn("rx",
+              per_element::read_vector<float>(cx, 1, width, *ch[0], banks[0]));
+      g.spawn("fan",
+              per_element::fanout2<float>(n, width, *ch[0], *ch[1], *ch[2]));
+    }
+    for (int k = 0; k < 2; ++k) {
+      const int b = b_first ? 1 - k : k;
+      Channel<float>& drained = *ch[3 + b];
+      DramBank* bank = b == 0 ? banks[0] : nullptr;
+      const VectorView<float>& dst = b == 0 ? va : vb;
+      g.spawn(b == 0 ? "throttle_a" : "throttle_b",
+              throttle(n, rate[b], *ch[1 + b], drained));
+      g.spawn(b == 0 ? "wa" : "wb",
+              burst ? write_vector<float>(dst, 1, width, drained, bank)
+                    : per_element::write_vector<float>(dst, 1, width, drained,
+                                                       bank));
+    }
+    return observe(g, banks, {&out_a, &out_b}, f);
+  }
+};
+
+/// A random GER (or, one draw in three, SYR2 on a square A): both tilings
+/// and element orders, ragged tiles, replayed vector operands, metered
+/// readers and writer, a throttled consumer.
+struct GerCase {
+  std::int64_t rows, cols;
+  bool syr2;
+  core::GerConfig cfg;
+  int rate;
+  float alpha;
+  std::size_t caps[7];
+  double bank_bytes;
+  std::vector<float> a, x, y;
+
+  explicit GerCase(std::mt19937& rng) {
+    auto pick = [&](int k) {
+      return std::uniform_int_distribution<int>(0, k - 1)(rng);
+    };
+    rows = 1 + pick(24);
+    syr2 = pick(3) == 0;
+    cols = syr2 ? rows : 1 + pick(24);
+    cfg.tiling = pick(2) ? core::MatrixTiling::TilesByCols
+                         : core::MatrixTiling::TilesByRows;
+    cfg.elem_order = pick(2) ? Order::ColMajor : Order::RowMajor;
+    cfg.width = kWidths[pick(3)];
+    cfg.tile_rows = 1 + pick(9);
+    cfg.tile_cols = 1 + pick(9);
+    rate = 1 + pick(2 * cfg.width);
+    alpha = 0.5f + 0.25f * static_cast<float>(pick(8));
+    for (auto& c : caps) c = kCaps[pick(6)];
+    bank_bytes = 2.0 + 8.0 * pick(12);
+    a = Workload(rng()).vector<float>(rows * cols);
+    x = Workload(rng()).vector<float>(rows);
+    y = Workload(rng()).vector<float>(cols);
+  }
+
+  /// Makes one product overflow, so the GER module itself produces the
+  /// Inf, or (every other draw) puts a NaN into A.
+  void poison(std::mt19937& rng) {
+    if (rng() % 2) {
+      x[rng() % x.size()] = 3e38f;
+      y[rng() % y.size()] = 2.0f;
+      alpha = 4.0f;
+    } else {
+      a[rng() % a.size()] = std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+
+  Observed run(bool burst, Mode mode, const Faults& f = {}) const {
+    Graph g(mode);
+    std::vector<DramBank*> banks{&g.bank("ddr", bank_bytes)};
+    std::vector<Channel<float>*> ch;
+    for (int c = 0; c < (syr2 ? 7 : 5); ++c) {
+      ch.push_back(&g.channel<float>("c" + std::to_string(c), caps[c]));
+    }
+    std::vector<float> out(a.size());
+    const MatrixView<const float> A(a.data(), rows, cols, cols);
+    const MatrixView<float> B(out.data(), rows, cols, cols);
+    const VectorView<const float> cx(x.data(), rows), cy(y.data(), cols);
+    const TileSchedule sched = core::ger_a_schedule(cfg);
+    const std::int64_t xr = core::ger_x_repeat(cfg, rows, cols);
+    const std::int64_t yr = core::ger_y_repeat(cfg, rows, cols);
+    const int w = cfg.width;
+    // SYR2 streams x and y along both dimensions: x_row and y_row (c1,
+    // c5) replay like GER's x, x_col and y_col (c2, c6) like its y.
+    const VectorView<const float> col_in = syr2 ? cx : cy;
+    if (burst) {
+      g.spawn("ra", read_matrix<float>(A, sched, 1, w, *ch[0], banks[0]));
+      g.spawn("rx", read_vector<float>(cx, xr, w, *ch[1], banks[0]));
+      g.spawn("ry", read_vector<float>(col_in, yr, w, *ch[2]));
+      if (syr2) {
+        g.spawn("ryr", read_vector<float>(cy, xr, w, *ch[5], banks[0]));
+        g.spawn("ryc", read_vector<float>(cy, yr, w, *ch[6]));
+        g.spawn("ger", core::syr2<float>(cfg, rows, alpha, *ch[0], *ch[1],
+                                         *ch[2], *ch[5], *ch[6], *ch[3]));
+      } else {
+        g.spawn("ger", core::ger<float>(cfg, rows, cols, alpha, *ch[0],
+                                        *ch[1], *ch[2], *ch[3]));
+      }
+      g.spawn("wa", write_matrix<float>(B, sched, w, *ch[4], banks[0]));
+    } else {
+      g.spawn("ra", per_element::read_matrix<float>(A, sched, 1, w, *ch[0],
+                                                    banks[0]));
+      g.spawn("rx",
+              per_element::read_vector<float>(cx, xr, w, *ch[1], banks[0]));
+      g.spawn("ry", per_element::read_vector<float>(col_in, yr, w, *ch[2]));
+      if (syr2) {
+        g.spawn("ryr",
+                per_element::read_vector<float>(cy, xr, w, *ch[5], banks[0]));
+        g.spawn("ryc", per_element::read_vector<float>(cy, yr, w, *ch[6]));
+        g.spawn("ger",
+                per_element::syr2<float>(cfg, rows, alpha, *ch[0], *ch[1],
+                                         *ch[2], *ch[5], *ch[6], *ch[3]));
+      } else {
+        g.spawn("ger", per_element::ger<float>(cfg, rows, cols, alpha,
+                                               *ch[0], *ch[1], *ch[2],
+                                               *ch[3]));
+      }
+      g.spawn("wa",
+              per_element::write_matrix<float>(B, sched, w, *ch[4], banks[0]));
+    }
+    g.spawn("throttle", throttle(rows * cols, rate, *ch[3], *ch[4]));
+    return observe(g, banks, {&out}, f);
+  }
+};
+
+/// Runs `c` per element and in bursts under each hook setting — none,
+/// taint recording, the taint trap, an armed corruption — and expects
+/// every observable to match. The taint settings run a poisoned copy.
+template <typename Case>
+void expect_hooks_match(const Case& c, std::mt19937& rng,
+                        const std::string& what) {
+  for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+    const Observed ref = c.run(false, mode);
+    ASSERT_TRUE(ref.error.empty()) << ref.error;
+    EXPECT_EQ(mismatch(c.run(true, mode), ref), "") << what << ", no hooks";
+  }
+  Case poisoned = c;
+  poisoned.poison(rng);
+  for (const bool trap : {false, true}) {
+    const Faults f{0, true, trap};
+    const Observed ref = poisoned.run(false, Mode::Cycle, f);
+    ASSERT_TRUE(ref.tainted) << what;
+    EXPECT_EQ(!ref.error.empty(), trap) << what;
+    EXPECT_EQ(mismatch(poisoned.run(true, Mode::Cycle, f), ref), "")
+        << what << ", taint " << (trap ? "trap" : "recording") << " in '"
+        << ref.taint_channel << "' by '" << ref.taint_module << "'";
+  }
+  expect_corruption_matches(c, rng);
+}
+
+TEST(BurstExactness, RandomFanoutsMatchPerElementUnderEveryHook) {
+  std::mt19937 rng(1907);
+  for (int trial = 0; trial < 80; ++trial) {
+    const FanoutCase c(rng);
+    expect_hooks_match(c, rng,
+                       "trial " + std::to_string(trial) + " n=" +
+                           std::to_string(c.n) +
+                           " W=" + std::to_string(c.width));
+  }
+}
+
+TEST(BurstExactness, RandomGersMatchPerElementUnderEveryHook) {
+  std::mt19937 rng(7929);
+  int syr2 = 0;
+  for (int trial = 0; trial < 90; ++trial) {
+    const GerCase c(rng);
+    syr2 += c.syr2;
+    expect_hooks_match(c, rng,
+                       "trial " + std::to_string(trial) +
+                           (c.syr2 ? " SYR2 " : " GER ") +
+                           std::to_string(c.rows) + "x" +
+                           std::to_string(c.cols) +
+                           " W=" + std::to_string(c.cfg.width));
+  }
+  EXPECT_GT(syr2, 20);
+}
+
+TEST(BurstExactness, FanoutCorruptionIntoNonFiniteKeepsProvenance) {
+  // Every input value turns into an Inf when the injected flip hits it,
+  // so the damaged push is also the first non-finite one. On either
+  // branch of the fan-out it must be recorded (or trapped) at the
+  // element, channel and module of the per-element run, which interleaves
+  // the two branches a0 b0 a1 b1.
+  std::mt19937 rng(1809);
+  int on_branch_b = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    FanoutCase c(rng);
+    for (float& v : c.x) v = std::bit_cast<float>(0x25800000u);
+    const Observed clean = c.run(false, Mode::Cycle);
+    std::uint64_t pushes = 0;
+    for (const std::uint64_t p : clean.pushed) pushes += p;
+    for (const bool trap : {false, true}) {
+      const Faults f{std::uniform_int_distribution<std::uint64_t>(
+                         1, pushes)(rng),
+                     true, trap};
+      const Observed ref = c.run(false, Mode::Cycle, f);
+      ASSERT_TRUE(ref.corrupted);
+      ASSERT_TRUE(ref.tainted);
+      EXPECT_EQ(ref.taint_channel, ref.corrupt_channel);
+      on_branch_b += ref.corrupt_channel == "c2";
+      EXPECT_EQ(mismatch(c.run(true, Mode::Cycle, f), ref), "")
+          << "trial " << trial << " target " << f.corrupt_k << " of "
+          << pushes << " in '" << ref.corrupt_channel << "'";
+    }
+  }
+  EXPECT_GT(on_branch_b, 10);
 }
 
 TEST(BurstExactness, MidBurstNonFiniteKeepsTaintProvenance) {

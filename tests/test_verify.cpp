@@ -922,7 +922,7 @@ TEST(VerifyRuntime, AlwaysOnCleanRunNeverRejects) {
 // --- Composed commands: checksum-carrying streaming compositions ----------
 // The three paper applications run as single host commands whose
 // intermediates never touch DRAM; the GraphChecker compares per-channel
-// taps against pullback predictions computed from the DRAM inputs only.
+// taps against predictions replayed on the host from the DRAM inputs.
 
 TEST(VerifyComposed, CleanCompositionsMatchCpuReferences) {
   const std::int64_t n = 20, m = 16, len = 96;
