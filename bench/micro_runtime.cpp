@@ -4,11 +4,20 @@
 // large a design the cycle simulator can drive in reasonable time.
 #include <benchmark/benchmark.h>
 
+#if defined(__linux__)
+#include <linux/perf_event.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include "common/workload.hpp"
 #include "fblas/batched.hpp"
 #include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
+#include "host/detail.hpp"
+#include "host/device.hpp"
 #include "refblas/level3.hpp"
+#include "sim/frequency_model.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 #include "systolic/systolic_array.hpp"
@@ -106,6 +115,111 @@ void BM_StreamGer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_StreamGer)->Arg(256);
+
+/// User-mode instructions retired by the calling thread, read from the
+/// CPU's own counter. Where perf_event_open is not permitted, ok() is
+/// false and nothing is counted.
+class InstructionCounter {
+ public:
+  InstructionCounter() {
+#if defined(__linux__)
+    perf_event_attr attr{};
+    attr.type = PERF_TYPE_HARDWARE;
+    attr.size = sizeof(attr);
+    attr.config = PERF_COUNT_HW_INSTRUCTIONS;
+    attr.exclude_kernel = 1;
+    attr.exclude_hv = 1;
+    fd_ = static_cast<int>(syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
+#endif
+  }
+  ~InstructionCounter() {
+#if defined(__linux__)
+    if (fd_ >= 0) close(fd_);
+#endif
+  }
+  InstructionCounter(const InstructionCounter&) = delete;
+  InstructionCounter& operator=(const InstructionCounter&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+  std::uint64_t read() const {
+    std::uint64_t v = 0;
+#if defined(__linux__)
+    if (fd_ < 0 || ::read(fd_, &v, sizeof v) != sizeof v) return 0;
+#endif
+    return v;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+// The bare GEMV graph of perfbench cg_solve: read_A / read_x / read_y ->
+// core::gemv -> write_y, 512^2, W=16, 128^2 tiles, metered on a Stratix
+// 10's four DDR banks as the host API registers them. Arg: 0 A x by
+// rows, 1 A x by columns, 2 A^T x by rows, 3 A^T x by columns. Reports
+// the simulated cycles of one run and, where the CPU counter can be
+// read, user-mode instructions per simulated cycle: a figure that stays
+// steady on a shared host while wall time drifts.
+void BM_StreamGemv(benchmark::State& state) {
+  constexpr std::int64_t n = 512;
+  constexpr int w = 16;
+  const auto branch = state.range(0);
+  const core::GemvConfig cfg{
+      branch < 2 ? Transpose::None : Transpose::Trans,
+      branch % 2 == 0 ? core::MatrixTiling::TilesByRows
+                      : core::MatrixTiling::TilesByCols,
+      w, 128, 128};
+  const host::Device dev(sim::DeviceId::Stratix10);
+  const double mhz =
+      sim::module_frequency(RoutineKind::Gemv, Precision::Single, dev.spec())
+          .mhz;
+  Workload wl(31);
+  const auto a = wl.matrix<float>(n, n);
+  const auto x = wl.vector<float>(n);
+  std::vector<float> y = wl.vector<float>(n);
+  const std::size_t cap = host::detail::chan_cap(w);
+  std::uint64_t cycles = 0;
+  const InstructionCounter instructions;
+  const std::uint64_t instr0 = instructions.read();
+  for (auto _ : state) {
+    stream::Graph g(stream::Mode::Cycle);
+    host::detail::BankSet banks(g, dev, mhz);
+    auto& ca = g.channel<float>("A", cap);
+    auto& cx = g.channel<float>("x", cap);
+    auto& cy = g.channel<float>("y", cap);
+    auto& out = g.channel<float>("out", cap);
+    g.spawn("read_A", stream::read_matrix<float>(
+                          MatrixView<const float>(a.data(), n, n),
+                          core::gemv_a_schedule(cfg), 1, w, ca, banks.at(0)));
+    g.spawn("read_x", stream::read_vector<float>(
+                          VectorView<const float>(x.data(), n),
+                          core::gemv_x_repeat(cfg, n, n), w, cx, banks.at(1)));
+    g.spawn("read_y",
+            stream::read_vector<float>(VectorView<const float>(y.data(), n), 1,
+                                       w, cy, banks.at(2)));
+    g.spawn("gemv",
+            core::gemv<float>(cfg, n, n, 1.0f, 0.0f, ca, cx, cy, out));
+    g.spawn("write_y",
+            stream::write_vector<float>(VectorView<float>(y.data(), n), 1, w,
+                                        out, banks.at(2)));
+    g.run();
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+    cycles = g.cycles();
+  }
+  const std::uint64_t instr = instructions.read() - instr0;
+  state.SetItemsProcessed(state.iterations() * n * n);
+  state.counters["sim_cycles"] = static_cast<double>(cycles);
+  if (instructions.ok() && cycles > 0) {
+    state.counters["instr_per_cycle"] =
+        static_cast<double>(instr) /
+        (static_cast<double>(state.iterations()) *
+         static_cast<double>(cycles));
+  }
+  state.SetLabel(std::string(branch < 2 ? "Ax" : "ATx") +
+                 (branch % 2 == 0 ? " by rows" : " by cols"));
+}
+BENCHMARK(BM_StreamGemv)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 void BM_TileWalker(benchmark::State& state) {
   const std::int64_t n = 512;

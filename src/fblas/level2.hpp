@@ -87,9 +87,10 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   // otherwise.
   const bool row_elems = cfg.elem_order == Order::RowMajor;
   std::vector<T> xbuf, acc;
-  // A arrives in bursts of up to W elements (pop_n never crosses a cycle
-  // or a tile line, so it is element-exact); x, y and the result move as
-  // whole bursts too.
+  // A arrives in bursts of up to W elements (a burst never crosses a
+  // cycle or a tile line, so it is element-exact), taken with try_take_n
+  // and awaited only when A is empty; x, y and the result move as whole
+  // bursts too.
   std::vector<T> abuf(static_cast<std::size_t>(W));
   // The multiply-accumulate of k A-elements at tile position (o, i..):
   // the partial sums are indexed by row (by column when transposed) and x
@@ -136,8 +137,10 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
           for (std::int64_t i = 0; i < ni;) {
-            const std::size_t k = co_await ch_a.pop_n(
-                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            const auto want = static_cast<std::size_t>(
+                std::min<std::int64_t>(W - in_cycle, ni - i));
+            std::size_t k = ch_a.try_take_n(abuf.data(), want);
+            if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
             mac(acc.data(), false, o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
@@ -177,8 +180,10 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
           for (std::int64_t i = 0; i < ni;) {
-            const std::size_t k = co_await ch_a.pop_n(
-                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            const auto want = static_cast<std::size_t>(
+                std::min<std::int64_t>(W - in_cycle, ni - i));
+            std::size_t k = ch_a.try_take_n(abuf.data(), want);
+            if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
             mac(block, true, o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
@@ -216,8 +221,10 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
           for (std::int64_t i = 0; i < ni;) {
-            const std::size_t k = co_await ch_a.pop_n(
-                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            const auto want = static_cast<std::size_t>(
+                std::min<std::int64_t>(W - in_cycle, ni - i));
+            std::size_t k = ch_a.try_take_n(abuf.data(), want);
+            if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
             mac(part.data() + tj * TM, true, o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
@@ -257,8 +264,10 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         const std::int64_t ni = row_elems ? tw : th;
         for (std::int64_t o = 0; o < no; ++o) {
           for (std::int64_t i = 0; i < ni;) {
-            const std::size_t k = co_await ch_a.pop_n(
-                abuf.data(), std::min<std::int64_t>(W - in_cycle, ni - i));
+            const auto want = static_cast<std::size_t>(
+                std::min<std::int64_t>(W - in_cycle, ni - i));
+            std::size_t k = ch_a.try_take_n(abuf.data(), want);
+            if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
             mac(acc.data(), false, o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {

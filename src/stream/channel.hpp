@@ -219,18 +219,12 @@ class Channel : public ChannelBase {
     n = std::min(n, room());
     if (n == 0) return 0;
     if constexpr (kHooked) {
-      const std::uint64_t left = sched_->corrupt_countdown();
-      if (left != 0 && left <= n) {
-        // The targeted push is in this burst: split around it, so the
-        // corruption fires on exactly its element.
-        const auto k = static_cast<std::size_t>(left - 1);
-        put_burst(src, k);
-        try_put(src[k]);
-        put_burst(src + k + 1, n - k - 1);
+      if (tap_armed_ || screening()) {
+        put_hooked(src, n);
         return n;
       }
     }
-    put_burst(src, n);
+    copy_in(src, n);
     return n;
   }
   bool try_take(T& out) {
@@ -263,25 +257,43 @@ class Channel : public ChannelBase {
     return sched_->corrupt_armed() || sched_->taint_enabled();
   }
 
+  // Stores 1 <= n <= room() values behind the tail.
+  void copy_in(const T* src, std::size_t n) {
+    const std::size_t tail = (head_ + count_) & mask_;
+    const std::size_t first = std::min(n, buf_.size() - tail);
+    std::copy_n(src, first, buf_.begin() + static_cast<std::ptrdiff_t>(tail));
+    std::copy_n(src + first, n - first, buf_.begin());
+    note_pushed(n);
+  }
+
+  // try_put_n of 1 <= n <= room() values with a tap or a hook armed. A
+  // burst that holds an armed corruption's target splits around it, so
+  // the corruption fires on exactly its element.
+  [[gnu::noinline]] void put_hooked(const T* src, std::size_t n) {
+    const std::uint64_t left = sched_->corrupt_countdown();
+    if (left != 0 && left <= n) {
+      const auto k = static_cast<std::size_t>(left - 1);
+      put_burst(src, k);
+      try_put(src[k]);
+      put_burst(src + k + 1, n - k - 1);
+      return;
+    }
+    put_burst(src, n);
+  }
+
   // Pushes n <= room() values none of which is an armed corruption's
   // target. Taint screening is one finiteness test per burst; only a
   // burst holding a NaN/Inf steps element by element, so its provenance
   // (and a trap's throw) lands on exactly that element.
   void put_burst(const T* src, std::size_t n) {
     if (n == 0) return;
-    if constexpr (kHooked) {
-      if (sched_->taint_enabled() && !all_finite(src, n)) {
-        for (std::size_t i = 0; i < n; ++i) try_put(src[i]);
-        return;
-      }
-      if (sched_->corrupt_armed()) sched_->corrupt_skip(n);
-      if (tap_armed_) tap_accumulate(src, n);
+    if (sched_->taint_enabled() && !all_finite(src, n)) {
+      for (std::size_t i = 0; i < n; ++i) try_put(src[i]);
+      return;
     }
-    const std::size_t tail = (head_ + count_) & mask_;
-    const std::size_t first = std::min(n, buf_.size() - tail);
-    std::copy_n(src, first, buf_.begin() + static_cast<std::ptrdiff_t>(tail));
-    std::copy_n(src + first, n - first, buf_.begin());
-    note_pushed(n);
+    if (sched_->corrupt_armed()) sched_->corrupt_skip(n);
+    if (tap_armed_) tap_accumulate(src, n);
+    copy_in(src, n);
   }
 
   // True when no value has an all-ones exponent (NaN or ±Inf), tested
@@ -346,7 +358,7 @@ struct PushWait {
 
 template <typename T>
 struct PopAwaiter : PopWait {
-  T await_resume() const {
+  [[gnu::always_inline]] T await_resume() const {
     T v{};
     const bool ok = static_cast<Channel<T>&>(ch).try_take(v);
     FBLAS_REQUIRE(ok, "pop resumed on empty channel '" + ch.name() + "'");
@@ -358,7 +370,7 @@ template <typename T>
 struct PushAwaiter : PushWait {
   T value;
 
-  void await_resume() {
+  [[gnu::always_inline]] void await_resume() {
     const bool ok = static_cast<Channel<T>&>(ch).try_put(std::move(value));
     FBLAS_REQUIRE(ok, "push resumed on full channel '" + ch.name() + "'");
   }
@@ -369,7 +381,7 @@ struct PopNAwaiter : PopWait {
   T* dst;
   std::size_t n;
 
-  std::size_t await_resume() const {
+  [[gnu::always_inline]] std::size_t await_resume() const {
     const std::size_t got = static_cast<Channel<T>&>(ch).try_take_n(dst, n);
     FBLAS_REQUIRE(got > 0 || n == 0,
                   "pop resumed on empty channel '" + ch.name() + "'");
@@ -382,7 +394,7 @@ struct PushNAwaiter : PushWait {
   const T* src;
   std::size_t n;
 
-  std::size_t await_resume() const {
+  [[gnu::always_inline]] std::size_t await_resume() const {
     const std::size_t put = static_cast<Channel<T>&>(ch).try_put_n(src, n);
     FBLAS_REQUIRE(put > 0 || n == 0,
                   "push resumed on full channel '" + ch.name() + "'");

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "stream/channel.hpp"
-#include "stream/dram.hpp"
 
 namespace fblas::stream {
 
@@ -30,11 +29,6 @@ void Scheduler::block_on_push(int id, ChannelBase& ch) {
   modules_[id].blocked_on = &ch;
   ++blocked_modules_;
   ch.note_stall();
-}
-
-void Scheduler::wait_cycle(int id) {
-  modules_[id].state = ModuleState::WaitCycle;
-  cycle_waiters_.push_back(id);
 }
 
 void Scheduler::wake(int id) {
@@ -73,20 +67,22 @@ bool Scheduler::corrupt_hits(const ChannelBase& ch) {
   return true;
 }
 
-void Scheduler::advance_cycle() {
-  if (trace_occupancy_) {
-    occupancy_samples_.resize(channels_.size());
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-      occupancy_samples_[c].push_back(
-          static_cast<std::uint32_t>(channels_[c]->size()));
-    }
+void Scheduler::sample_occupancy() {
+  occupancy_samples_.resize(channels_.size());
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    occupancy_samples_[c].push_back(
+        static_cast<std::uint32_t>(channels_[c]->size()));
   }
+}
+
+inline void Scheduler::advance_cycle() {
+  if (trace_occupancy_) sample_occupancy();
   // Stall accounting: every module still parked on a channel at a cycle
   // boundary burned this cycle waiting — the per-graph backpressure
   // total the tracing layer exports next to the cycle count.
   stall_module_cycles_ += static_cast<std::uint64_t>(blocked_modules_);
   ++cycle_;
-  for (DramBank* bank : banks_) bank->reset_cycle();
+  ++cycle_edges_;  // DRAM banks refill lazily (DramBank::grant_elems)
   for (const int id : cycle_waiters_) {
     modules_[id].state = ModuleState::Ready;
     ready_.push_back(id);
@@ -94,17 +90,54 @@ void Scheduler::advance_cycle() {
   cycle_waiters_.clear();
 }
 
+inline void Scheduler::resume_next() {
+  const int id = ready_.front();
+  ready_.pop_front();
+  ModuleEntry& m = modules_[id];
+  m.state = ModuleState::Running;
+  ++m.resumes;
+  current_ = id;
+  m.handle.resume();
+  current_ = -1;
+  if (m.handle.done()) {
+    m.state = ModuleState::Done;
+    --live_;
+    if (m.handle.promise().exception) {
+      std::rethrow_exception(m.handle.promise().exception);
+    }
+  } else if (m.state == ModuleState::Running) {
+    throw_unknown_suspend(m.name);
+  }
+}
+
 void Scheduler::run(const Watchdog& watchdog) {
   FBLAS_REQUIRE(!ran_, "a Scheduler can only run once");
   ran_ = true;
+  // Limits and an injected wedge are tested only on the guarded path, so
+  // the common run pays nothing for them.
+  if (watchdog.enabled() || wedge_after_steps_ != 0) {
+    run_guarded(watchdog);
+    return;
+  }
+  while (live_ > 0) {
+    if (!ready_.empty()) {
+      resume_next();
+    } else if (!cycle_waiters_.empty()) {
+      advance_cycle();
+    } else {
+      throw DeadlockError(diagnose_deadlock());
+    }
+  }
+}
+
+void Scheduler::run_guarded(const Watchdog& watchdog) {
   const bool has_deadline = watchdog.wall_deadline.count() > 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         watchdog.wall_deadline;
+  // A step is one module resume, or one spin of a wedged scheduler; the
+  // budget admits exactly max_steps of them.
   std::uint64_t steps = 0;
   while (live_ > 0) {
-    if (watchdog.max_steps != 0 && steps > watchdog.max_steps) {
-      throw_timeout("step budget", steps);
-    }
     if (watchdog.max_cycles != 0 && cycle_ > watchdog.max_cycles) {
       throw_timeout("cycle budget", steps);
     }
@@ -115,46 +148,26 @@ void Scheduler::run(const Watchdog& watchdog) {
         std::chrono::steady_clock::now() >= deadline) {
       throw_timeout("wall-clock deadline", steps);
     }
+    if (ready_.empty() && !wedged_) {
+      if (cycle_waiters_.empty()) throw DeadlockError(diagnose_deadlock());
+      advance_cycle();
+      continue;
+    }
+    if (watchdog.max_steps != 0 && steps == watchdog.max_steps) {
+      throw_timeout("step budget", steps);
+    }
+    ++steps;
     if (wedged_) {
       // Injected hang: cycles tick but no module is ever resumed again,
       // modeling a kernel wedged mid-stream. Only a watchdog limit ends
       // this loop — without one it spins, like the real stalled board.
       ++cycle_;
-      ++steps;
       continue;
     }
-    if (!ready_.empty()) {
-      const int id = ready_.front();
-      ready_.pop_front();
-      ModuleEntry& m = modules_[id];
-      if (m.state != ModuleState::Ready) continue;  // stale queue entry
-      m.state = ModuleState::Running;
-      ++m.resumes;
-      ++steps;
-      if (wedge_after_steps_ != 0 && steps >= wedge_after_steps_) {
-        wedged_ = true;
-      }
-      current_ = id;
-      m.handle.resume();
-      current_ = -1;
-      if (m.handle.done()) {
-        m.state = ModuleState::Done;
-        --live_;
-        if (m.handle.promise().exception) {
-          std::rethrow_exception(m.handle.promise().exception);
-        }
-      } else if (m.state == ModuleState::Running) {
-        // The module suspended without recording a reason — this would be a
-        // runtime bug, not a user error.
-        throw Error("module '" + m.name + "' suspended with unknown reason");
-      }
-      continue;
+    if (wedge_after_steps_ != 0 && steps >= wedge_after_steps_) {
+      wedged_ = true;
     }
-    if (!cycle_waiters_.empty()) {
-      advance_cycle();
-      continue;
-    }
-    throw DeadlockError(diagnose_deadlock());
+    resume_next();
   }
 }
 
@@ -239,6 +252,12 @@ const std::vector<std::uint32_t>& Scheduler::occupancy_trace(
     return kEmpty;
   }
   return occupancy_samples_[chan];
+}
+
+void Scheduler::throw_unknown_suspend(const std::string& module) {
+  // The module suspended without recording a reason — this would be a
+  // runtime bug, not a user error.
+  throw Error("module '" + module + "' suspended with unknown reason");
 }
 
 void Scheduler::throw_timeout(const char* limit, std::uint64_t steps) {

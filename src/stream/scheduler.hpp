@@ -26,7 +26,6 @@
 namespace fblas::stream {
 
 class ChannelBase;
-class DramBank;
 
 enum class Mode { Functional, Cycle };
 
@@ -38,7 +37,7 @@ enum class Mode { Functional, Cycle };
 /// livelocks too.
 struct Watchdog {
   std::uint64_t max_cycles = 0;  ///< simulated-cycle budget (cycle mode)
-  std::uint64_t max_steps = 0;   ///< scheduler-step budget (both modes)
+  std::uint64_t max_steps = 0;   ///< module resumes allowed (both modes)
   std::chrono::milliseconds wall_deadline{0};  ///< host wall-clock limit
 
   bool enabled() const {
@@ -79,9 +78,12 @@ class Scheduler {
   /// frame stays owned by the caller (Graph) and must outlive run().
   int add_module(TaskHandle handle, std::string name);
 
-  /// Registers a channel / DRAM bank for diagnostics and cycle resets.
+  /// Registers a channel for diagnostics and occupancy sampling.
   void register_channel(ChannelBase* ch) { channels_.push_back(ch); }
-  void register_bank(DramBank* bank) { banks_.push_back(bank); }
+  /// Clock edges advance_cycle has taken so far: the refills a DRAM bank
+  /// owes (DramBank catches them up when it is next granted). A wedged
+  /// scheduler ticks cycle() without taking an edge.
+  std::uint64_t cycle_edges() const { return cycle_edges_; }
 
   /// Runs until every module completes. Throws DeadlockError if the graph
   /// stalls, TimeoutError if a watchdog limit expires first, and rethrows
@@ -101,7 +103,10 @@ class Scheduler {
   // --- awaiter interface -------------------------------------------------
   void block_on_pop(int id, ChannelBase& ch);
   void block_on_push(int id, ChannelBase& ch);
-  void wait_cycle(int id);
+  void wait_cycle(int id) {
+    modules_[id].state = ModuleState::WaitCycle;
+    cycle_waiters_.push_back(id);
+  }
   /// Moves a blocked module back to the ready queue (channel wakeups).
   void wake(int id);
 
@@ -194,15 +199,22 @@ class Scheduler {
   std::string diagnose(const std::string& header) const;
   std::string diagnose_deadlock() const;
   [[noreturn]] void throw_timeout(const char* limit, std::uint64_t steps);
+  [[noreturn]] static void throw_unknown_suspend(const std::string& module);
+  void sample_occupancy();
   void advance_cycle();
+  void run_guarded(const Watchdog& watchdog);
+  void resume_next();
 
   Mode mode_;
   std::uint64_t cycle_ = 0;
+  std::uint64_t cycle_edges_ = 0;
   std::vector<ModuleEntry> modules_;
+  // A module is queued when it is added or leaves a blocked or
+  // cycle-waiting state, and leaves Ready only by being dequeued, so it
+  // is never queued twice.
   std::deque<int> ready_;
   std::vector<int> cycle_waiters_;
   std::vector<ChannelBase*> channels_;
-  std::vector<DramBank*> banks_;
   int live_ = 0;
   bool ran_ = false;
   int current_ = -1;  // module being resumed right now (-1 = host code)
@@ -227,7 +239,7 @@ class Scheduler {
 /// up to W elements, which is what defines "W elements per cycle".
 struct NextCycle {
   bool await_ready() const noexcept { return false; }
-  bool await_suspend(TaskHandle h) const {
+  [[gnu::always_inline]] bool await_suspend(TaskHandle h) const {
     TaskPromise& p = h.promise();
     if (!p.sched->cycle_mode()) return false;  // resume immediately
     p.sched->wait_cycle(p.module_id);

@@ -10,12 +10,20 @@ TileWalker::TileWalker(std::int64_t rows, std::int64_t cols,
                 "tile sizes must be positive");
   n_trow_ = ceil_div(rows_, s_.tile_rows);
   n_tcol_ = ceil_div(cols_, s_.tile_cols);
-  done_ = rows_ == 0 || cols_ == 0;
+  reset();
 }
 
 void TileWalker::reset() {
   ti_ = tj_ = ei_ = ej_ = 0;
   done_ = rows_ == 0 || cols_ == 0;
+  enter_tile();
+}
+
+void TileWalker::enter_tile() {
+  row0_ = ti_ * s_.tile_rows;
+  col0_ = tj_ * s_.tile_cols;
+  h_ = std::min(s_.tile_rows, rows_ - row0_);
+  w_ = std::min(s_.tile_cols, cols_ - col0_);
 }
 
 void TileWalker::next_tile() {
@@ -30,6 +38,7 @@ void TileWalker::next_tile() {
       if (++tj_ == n_tcol_) done_ = true;
     }
   }
+  enter_tile();
 }
 
 }  // namespace fblas::stream

@@ -48,24 +48,21 @@ class TileWalker {
   std::int64_t next_run(std::int64_t& row, std::int64_t& col,
                         std::int64_t max) {
     if (done_) return 0;
-    // Extent of the current (clamped) tile.
-    const std::int64_t h = std::min(s_.tile_rows, rows_ - ti_ * s_.tile_rows);
-    const std::int64_t w = std::min(s_.tile_cols, cols_ - tj_ * s_.tile_cols);
-    row = ti_ * s_.tile_rows + ei_;
-    col = tj_ * s_.tile_cols + ej_;
+    row = row0_ + ei_;
+    col = col0_ + ej_;
     // Advance the element cursor within the tile.
     std::int64_t len = 0;
     if (s_.elem_order == Order::RowMajor) {
-      len = std::min(max, w - ej_);
-      if ((ej_ += len) == w) {
+      len = std::min(max, w_ - ej_);
+      if ((ej_ += len) == w_) {
         ej_ = 0;
-        if (++ei_ == h) ei_ = 0;
+        if (++ei_ == h_) ei_ = 0;
       }
     } else {
-      len = std::min(max, h - ei_);
-      if ((ei_ += len) == h) {
+      len = std::min(max, h_ - ei_);
+      if ((ei_ += len) == h_) {
         ei_ = 0;
-        if (++ej_ == w) ej_ = 0;
+        if (++ej_ == w_) ej_ = 0;
       }
     }
     if (ei_ == 0 && ej_ == 0) next_tile();
@@ -77,28 +74,27 @@ class TileWalker {
 
  private:
   void next_tile();  // tile finished: advance the tile cursor
+  void enter_tile();  // sets the current tile's origin and extent
 
   std::int64_t rows_, cols_;
   TileSchedule s_;
   std::int64_t n_trow_, n_tcol_;  // number of tile rows / cols
   // Current position: tile indices and element indices within the tile.
   std::int64_t ti_ = 0, tj_ = 0, ei_ = 0, ej_ = 0;
+  // The current tile: its first row and column, and its (clamped) extent.
+  std::int64_t row0_ = 0, col0_ = 0, h_ = 0, w_ = 0;
   bool done_ = false;
 };
 
-// The streamers below move each cycle's elements as bursts (push_n /
-// pop_n) through the one channel they touch, which is element-exact:
-// see the burst note on Channel. Memory is touched when single pushes
-// and pops would touch it: a writer stores each burst as it arrives, and
-// a reader loads only what can enter the channel now.
-
-/// Elements a reader loads for its next push_n: those that fit now, or
-/// the one element a single push loads before it suspends on a full
-/// channel.
-inline std::int64_t read_ahead(const ChannelBase& out, std::int64_t left) {
-  return std::max<std::int64_t>(
-      1, std::min(left, static_cast<std::int64_t>(out.room())));
-}
+// The streamers below move each cycle's elements as bursts through the
+// one channel they touch, which is element-exact: see the burst note on
+// Channel. Each hop tries the channel first (try_put_n / try_take_n) and
+// awaits only when that moves nothing, so a hop that would not suspend
+// costs no awaiter. Memory is touched when single pushes and pops would
+// touch it: a writer stores each burst as it arrives, and a reader loads
+// only what enters the channel now, straight from memory where it is
+// contiguous. A push that must wait first loads its one element and
+// holds it while suspended, as a single push would.
 
 /// Streams `v` into `out`, `repeat` times over, up to `width` elements per
 /// cycle, metered by `bank` when present. Replaying a vector (repeat > 1)
@@ -107,6 +103,7 @@ template <typename T>
 Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
                  Channel<T>& out, DramBank* bank = nullptr) {
   const std::int64_t n = v.size();
+  const bool contiguous = v.inc() == 1;
   std::vector<T> burst(static_cast<std::size_t>(width));
   for (std::int64_t r = 0; r < repeat; ++r) {
     std::int64_t idx = 0;
@@ -114,9 +111,20 @@ Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
       const std::int64_t want = std::min<std::int64_t>(width, n - idx);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
       for (std::int64_t k = 0; k < got;) {
-        const std::int64_t m = read_ahead(out, got - k);
-        for (std::int64_t e = 0; e < m; ++e) burst[e] = v[idx + k + e];
-        k += co_await out.push_n(burst.data(), m);
+        const auto m = std::min<std::int64_t>(
+            got - k, static_cast<std::int64_t>(out.room()));
+        if (m == 0) {
+          co_await out.push(v[idx + k]);
+          ++k;
+          continue;
+        }
+        if (contiguous) {
+          out.try_put_n(&v[idx + k], static_cast<std::size_t>(m));
+        } else {
+          for (std::int64_t e = 0; e < m; ++e) burst[e] = v[idx + k + e];
+          out.try_put_n(burst.data(), static_cast<std::size_t>(m));
+        }
+        k += m;
       }
       idx += got;
       co_await next_cycle();
@@ -130,17 +138,22 @@ template <typename T>
 Task write_vector(VectorView<T> v, std::int64_t repeat, int width,
                   Channel<T>& in, DramBank* bank = nullptr) {
   const std::int64_t n = v.size();
+  const bool contiguous = v.inc() == 1;
   std::vector<T> burst(static_cast<std::size_t>(width));
   for (std::int64_t r = 0; r < repeat; ++r) {
     std::int64_t idx = 0;
     while (idx < n) {
       const std::int64_t want = std::min<std::int64_t>(width, n - idx);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      // Each burst lands in memory as soon as it is popped, as single
-      // pops would.
       for (std::int64_t k = 0; k < got;) {
-        const std::size_t m = co_await in.pop_n(burst.data(), got - k);
-        for (std::size_t e = 0; e < m; ++e) v[idx + k++] = burst[e];
+        T* const dst = contiguous ? &v[idx + k] : burst.data();
+        const auto left = static_cast<std::size_t>(got - k);
+        std::size_t m = in.try_take_n(dst, left);
+        if (m == 0) m = co_await in.pop_n(dst, left);
+        if (!contiguous) {
+          for (std::size_t e = 0; e < m; ++e) v[idx + k + e] = burst[e];
+        }
+        k += static_cast<std::int64_t>(m);
       }
       idx += got;
       co_await next_cycle();
@@ -161,15 +174,32 @@ Task read_matrix(MatrixView<const T> A, TileSchedule sched, std::int64_t repeat,
       const std::int64_t want = std::min<std::int64_t>(width, remaining);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
       for (std::int64_t k = 0; k < got;) {
-        const std::int64_t m = read_ahead(out, got - k);
-        for (std::int64_t e = 0; e < m;) {
-          std::int64_t i = 0, j = 0;
-          const std::int64_t len = walk.next_run(i, j, m - e);
-          for (std::int64_t r = 0; r < len; ++r, ++e) {
-            burst[e] = by_rows ? A(i, j + r) : A(i + r, j);
-          }
+        const auto m = std::min<std::int64_t>(
+            got - k, static_cast<std::int64_t>(out.room()));
+        std::int64_t i = 0, j = 0;
+        if (m == 0) {
+          walk.next(i, j);
+          co_await out.push(A(i, j));
+          ++k;
+          continue;
         }
-        k += co_await out.push_n(burst.data(), m);
+        std::int64_t len = walk.next_run(i, j, m);
+        if (by_rows && len == m) {
+          // The whole burst is one stretch of a row.
+          out.try_put_n(&A(i, j), static_cast<std::size_t>(m));
+        } else {
+          for (std::int64_t e = 0;;) {
+            if (by_rows) {
+              std::copy_n(&A(i, j), len, burst.data() + e);
+            } else {
+              for (std::int64_t t = 0; t < len; ++t) burst[e + t] = A(i + t, j);
+            }
+            if ((e += len) == m) break;
+            len = walk.next_run(i, j, m - e);
+          }
+          out.try_put_n(burst.data(), static_cast<std::size_t>(m));
+        }
+        k += m;
       }
       remaining -= got;
       co_await next_cycle();
@@ -189,8 +219,10 @@ Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
     const std::int64_t want = std::min<std::int64_t>(width, remaining);
     const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
     for (std::int64_t k = 0; k < got;) {
-      const auto m =
-          static_cast<std::int64_t>(co_await in.pop_n(burst.data(), got - k));
+      const auto left = static_cast<std::size_t>(got - k);
+      std::size_t popped = in.try_take_n(burst.data(), left);
+      if (popped == 0) popped = co_await in.pop_n(burst.data(), left);
+      const auto m = static_cast<std::int64_t>(popped);
       for (std::int64_t e = 0; e < m;) {
         std::int64_t i = 0, j = 0;
         const std::int64_t len = walk.next_run(i, j, m - e);
@@ -215,7 +247,10 @@ Task generate(std::int64_t n, T value, int width, Channel<T>& out) {
   while (idx < n) {
     const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
     for (std::int64_t k = 0; k < batch;) {
-      k += co_await out.push_n(burst.data(), batch - k);
+      const auto left = static_cast<std::size_t>(batch - k);
+      std::size_t put = out.try_put_n(burst.data(), left);
+      if (put == 0) put = co_await out.push_n(burst.data(), left);
+      k += static_cast<std::int64_t>(put);
     }
     idx += batch;
     co_await next_cycle();
@@ -230,7 +265,10 @@ Task sink(std::int64_t n, int width, Channel<T>& in) {
   while (idx < n) {
     const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
     for (std::int64_t k = 0; k < batch;) {
-      k += co_await in.pop_n(burst.data(), batch - k);
+      const auto left = static_cast<std::size_t>(batch - k);
+      std::size_t got = in.try_take_n(burst.data(), left);
+      if (got == 0) got = co_await in.pop_n(burst.data(), left);
+      k += static_cast<std::int64_t>(got);
     }
     idx += batch;
     co_await next_cycle();

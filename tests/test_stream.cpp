@@ -14,6 +14,9 @@
 #include "common/workload.hpp"
 #include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
+#include "host/detail.hpp"
+#include "host/device.hpp"
+#include "sim/frequency_model.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -992,12 +995,16 @@ struct Faults {
 std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
 
 /// Runs `g` (with its outputs in `outs`) and records every observable.
+/// With `record` off no occupancy trace or tap is armed, so the run
+/// takes the plain path a host-API graph takes.
 Observed observe(Graph& g, const std::vector<DramBank*>& banks,
                  const std::vector<const std::vector<float>*>& outs,
-                 const Faults& f) {
+                 const Faults& f, bool record = true) {
   Scheduler& s = g.scheduler();
-  s.enable_occupancy_trace();
-  for (const auto& ch : g.channels()) ch->arm_tap();
+  if (record) {
+    s.enable_occupancy_trace();
+    for (const auto& ch : g.channels()) ch->arm_tap();
+  }
   if (f.taint) s.enable_taint(f.trap);
   if (f.corrupt_k != 0) s.corrupt_push(f.corrupt_k);
   Observed o;
@@ -1014,7 +1021,7 @@ Observed observe(Graph& g, const std::vector<DramBank*>& banks,
     o.popped.push_back(ch.total_popped());
     o.stalls.push_back(ch.stall_events());
     o.peaks.push_back(ch.peak_occupancy());
-    o.occupancy.push_back(s.occupancy_trace(c));
+    if (record) o.occupancy.push_back(s.occupancy_trace(c));
     o.tap_bits.push_back(std::bit_cast<std::uint64_t>(ch.tap_sum()));
     o.tap_bits.push_back(std::bit_cast<std::uint64_t>(ch.tap_mag()));
     o.tap_bits.push_back(ch.tap_count());
@@ -1696,6 +1703,392 @@ TEST(Channel, NonPowerOfTwoCapacityStaysLogical) {
   } catch (const DeadlockError& e) {
     EXPECT_NE(std::string(e.what()).find("occupancy 3/3"), std::string::npos)
         << e.what();
+  }
+}
+
+// --- Step and cycle budgets -------------------------------------------
+
+/// gen -> sink over 256 elements at W=16 through a channel that never
+/// fills: 34 resumes (16 batches and a final resume per module) in 16
+/// cycles.
+void build_gen_sink(Graph& g) {
+  auto& ch = g.channel<float>("c", 64);
+  g.spawn("gen", generate<float>(256, 1.0f, 16, ch));
+  g.spawn("sink", sink<float>(256, 16, ch));
+}
+
+TEST(Watchdog, StepBudgetAllowsExactlyNResumes) {
+  for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+    Graph probe(mode);
+    build_gen_sink(probe);
+    probe.run();
+    std::uint64_t resumes = 0;
+    for (int m = 0; m < 2; ++m) resumes += probe.scheduler().module_resumes(m);
+    if (mode == Mode::Cycle) {
+      EXPECT_EQ(resumes, 34u);
+    }
+    Watchdog wd;
+    wd.max_steps = resumes;
+    Graph exact(mode);
+    build_gen_sink(exact);
+    EXPECT_NO_THROW(exact.run(wd));
+    EXPECT_TRUE(exact.scheduler().finished());
+    wd.max_steps = resumes - 1;
+    Graph tight(mode);
+    build_gen_sink(tight);
+    EXPECT_THROW(tight.run(wd), TimeoutError);
+  }
+}
+
+TEST(Watchdog, CycleBudgetAllowsExactlyNCycles) {
+  Graph probe(Mode::Cycle);
+  build_gen_sink(probe);
+  probe.run();
+  const std::uint64_t cycles = probe.cycles();
+  EXPECT_EQ(cycles, 16u);
+  Watchdog wd;
+  wd.max_cycles = cycles;
+  Graph exact(Mode::Cycle);
+  build_gen_sink(exact);
+  EXPECT_NO_THROW(exact.run(wd));
+  wd.max_cycles = cycles - 1;
+  Graph tight(Mode::Cycle);
+  build_gen_sink(tight);
+  EXPECT_THROW(tight.run(wd), TimeoutError);
+}
+
+// --- DRAM refill --------------------------------------------------------
+
+/// The bank model applied eagerly: every cycle boundary refills, every
+/// grant spends.
+struct EagerBank {
+  double bytes_per_cycle, available;
+  std::uint64_t total = 0;
+
+  void refill() {
+    const double burst = std::max(bytes_per_cycle, 64.0);
+    available = std::min(available + bytes_per_cycle, burst);
+  }
+  std::int64_t grant(std::int64_t want, std::size_t elem_bytes) {
+    const auto affordable =
+        static_cast<std::int64_t>(available / static_cast<double>(elem_bytes));
+    const std::int64_t granted = std::min(want, affordable);
+    if (granted > 0) {
+      available -= static_cast<double>(granted * elem_bytes);
+      total += static_cast<std::uint64_t>(granted) * elem_bytes;
+    }
+    return granted;
+  }
+};
+
+struct Grant {
+  std::uint64_t cycle;
+  std::int64_t want;
+  std::size_t elem_bytes;
+  std::int64_t granted;
+};
+
+/// Asks `bank` for random amounts of 4- or 8-byte elements, several
+/// times in some cycles and after random idle gaps (up to 300 cycles) in
+/// others, and logs every grant.
+Task random_grants(std::uint32_t seed, DramBank& bank, const Scheduler& s,
+                   std::vector<Grant>& log) {
+  std::mt19937 rng(seed);
+  for (int step = 0; step < 400; ++step) {
+    const int asks = 1 + static_cast<int>(rng() % 3);
+    for (int a = 0; a < asks; ++a) {
+      const auto want = static_cast<std::int64_t>(rng() % 40);
+      const std::size_t eb = rng() % 2 ? 4 : 8;
+      log.push_back({s.cycle(), want, eb, bank.grant_elems(want, eb)});
+    }
+    const std::uint32_t r = rng() % 8;
+    const std::uint32_t gap = r < 4 ? 1 : r < 7 ? rng() % 20 : rng() % 300;
+    for (std::uint32_t c = 0; c < gap; ++c) co_await next_cycle();
+  }
+}
+
+TEST(DramBank, LazyRefillMatchesPerCycleModel) {
+  std::uint32_t seed = 11;
+  for (const double budget : {0.3, 2.5, 63.7, 100.0}) {
+    for (int trial = 0; trial < 6; ++trial, ++seed) {
+      Graph g(Mode::Cycle);
+      DramBank& bank = g.bank("ddr", budget);
+      std::vector<Grant> log;
+      g.spawn("grants", random_grants(seed, bank, g.scheduler(), log));
+      g.run();
+      EagerBank eager{budget, budget};
+      std::uint64_t cycle = 0;
+      std::uint64_t granted = 0;
+      for (std::size_t k = 0; k < log.size(); ++k) {
+        const Grant& e = log[k];
+        for (; cycle < e.cycle; ++cycle) eager.refill();
+        ASSERT_EQ(e.granted, eager.grant(e.want, e.elem_bytes))
+            << budget << " B/cycle, seed " << seed << ", grant " << k
+            << " at cycle " << e.cycle;
+        granted += static_cast<std::uint64_t>(e.granted);
+      }
+      EXPECT_GT(granted, 0u);
+      EXPECT_EQ(bank.total_bytes(), eager.total);
+    }
+  }
+}
+
+// --- Golden pins -----------------------------------------------------------
+//
+// BurstExactness compares burst modules with per-element ones on the
+// same scheduler and banks, so it cannot see a change in those. These
+// pin what the stream layer produces outright: cycles, stalls, resumes,
+// channel totals, peaks and stalls, DRAM bytes and output bits.
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  template <typename V>
+  void add_all(const V& v) {
+    add(v.size());
+    for (const auto x : v) add(static_cast<std::uint64_t>(x));
+  }
+};
+
+/// Every pinned field, spelled out.
+std::string pin(const Observed& o) {
+  std::ostringstream os;
+  auto list = [&](const char* name, const std::vector<std::uint64_t>& v) {
+    os << ' ' << name << '=';
+    for (std::size_t i = 0; i < v.size(); ++i) os << (i ? "," : "") << v[i];
+  };
+  os << "cycles=" << o.cycles << " stall=" << o.stall_cycles;
+  list("resumes", o.resumes);
+  list("pushed", o.pushed);
+  list("popped", o.popped);
+  list("peaks", o.peaks);
+  list("stalls", o.stalls);
+  list("bytes", o.bytes);
+  Fnv out;
+  out.add_all(o.out_bits);
+  os << " out=" << std::hex << out.h;
+  return os.str();
+}
+
+/// Cycles and stalls spelled out, everything else (taps and occupancy
+/// samples included) folded into one hash.
+std::string pin_hashed(const Observed& o) {
+  Fnv all;
+  for (const auto* v : {&o.pushed, &o.popped, &o.stalls, &o.peaks,
+                        &o.resumes, &o.bytes, &o.tap_bits}) {
+    all.add_all(*v);
+  }
+  for (const auto& occ : o.occupancy) all.add_all(occ);
+  all.add_all(o.out_bits);
+  std::ostringstream os;
+  os << "cycles=" << o.cycles << " stall=" << o.stall_cycles << " all="
+     << std::hex << all.h;
+  if (!o.error.empty()) os << " error";
+  return os.str();
+}
+
+/// The Stratix 10's four DDR banks at `kind`'s single-precision clock,
+/// as the host API registers them.
+std::vector<DramBank*> board_banks(Graph& g, const host::Device& dev,
+                                   RoutineKind kind) {
+  const double mhz =
+      sim::module_frequency(kind, Precision::Single, dev.spec()).mhz;
+  host::detail::BankSet set(g, dev, mhz);
+  std::vector<DramBank*> banks;
+  for (int b = 0; b < dev.bank_count(); ++b) banks.push_back(set.at(b));
+  return banks;
+}
+
+/// The GEMV graph a host-API call lowers to, at perfbench cg_solve's
+/// shape: 512^2, W=16, 128^2 tiles, A / x / y on banks 0 / 1 / 2.
+Observed run_board_gemv(Transpose trans, core::MatrixTiling tiling) {
+  constexpr std::int64_t n = 512;
+  constexpr int w = 16;
+  const host::Device dev(sim::DeviceId::Stratix10);
+  const auto a = Workload(51).matrix<float>(n, n);
+  const auto x = Workload(52).vector<float>(n);
+  std::vector<float> y = Workload(53).vector<float>(n);
+  Graph g(Mode::Cycle);
+  const auto banks = board_banks(g, dev, RoutineKind::Gemv);
+  const core::GemvConfig cfg{trans, tiling, w, 128, 128};
+  const std::size_t cap = host::detail::chan_cap(w);
+  auto& ca = g.channel<float>("A", cap);
+  auto& cx = g.channel<float>("x", cap);
+  auto& cy = g.channel<float>("y", cap);
+  auto& out = g.channel<float>("out", cap);
+  g.spawn("read_A",
+          read_matrix<float>(MatrixView<const float>(a.data(), n, n),
+                             core::gemv_a_schedule(cfg), 1, w, ca, banks[0]));
+  g.spawn("read_x",
+          read_vector<float>(VectorView<const float>(x.data(), n),
+                             core::gemv_x_repeat(cfg, n, n), w, cx, banks[1]));
+  g.spawn("read_y", read_vector<float>(VectorView<const float>(y.data(), n),
+                                       1, w, cy, banks[2]));
+  g.spawn("gemv", core::gemv<float>(cfg, n, n, 1.25f, -0.5f, ca, cx, cy, out));
+  g.spawn("write_y",
+          write_vector<float>(VectorView<float>(y.data(), n), 1, w, out,
+                              banks[2]));
+  return observe(g, banks, {&y}, {}, false);
+}
+
+TEST(StreamGolden, BoardGemvBranches) {
+  struct Branch {
+    Transpose trans;
+    core::MatrixTiling tiling;
+    const char* want;
+  };
+  const Branch branches[] = {
+      {Transpose::None, core::MatrixTiling::TilesByRows,
+       "cycles=19026 stall=53590 resumes=18966,165,54,19049,56"
+       " pushed=262144,2048,512,512 popped=262144,2048,512,512"
+       " peaks=64,64,64,64 stalls=2538,108,29,24"
+       " bytes=1048576,8192,4096,0 out=f2dcf93aa028fb19"},
+      {Transpose::None, core::MatrixTiling::TilesByCols,
+       "cycles=18979 stall=39275 resumes=18961,41,42,18996,47"
+       " pushed=262144,512,512,512 popped=262144,512,512,512"
+       " peaks=64,64,64,64 stalls=2549,28,27,24"
+       " bytes=1048576,2048,4096,0 out=bbbef4093cb5c04e"},
+      {Transpose::Trans, core::MatrixTiling::TilesByRows,
+       "cycles=19029 stall=35858 resumes=18956,42,39,19035,76"
+       " pushed=262144,512,512,512 popped=262144,512,512,512"
+       " peaks=64,64,14,64 stalls=2560,27,37,34"
+       " bytes=1048576,2048,4096,0 out=d3fa882e0b7f4f6a"},
+      {Transpose::Trans, core::MatrixTiling::TilesByCols,
+       "cycles=19026 stall=53590 resumes=18966,165,54,19049,56"
+       " pushed=262144,2048,512,512 popped=262144,2048,512,512"
+       " peaks=64,64,64,64 stalls=2538,108,29,24"
+       " bytes=1048576,8192,4096,0 out=3f1ad4505115447"},
+  };
+  for (const Branch& b : branches) {
+    const Observed o = run_board_gemv(b.trans, b.tiling);
+    EXPECT_TRUE(o.error.empty()) << o.error;
+    EXPECT_EQ(pin(o), b.want)
+        << (b.trans == Transpose::Trans ? "A^T x" : "A x") << ", tiles by "
+        << (b.tiling == core::MatrixTiling::TilesByRows ? "rows" : "cols");
+  }
+}
+
+TEST(StreamGolden, BoardFanout) {
+  // read_x -> fanout2 -> {write_a, throttled write_b}: the b branch
+  // backs up into the fan-out, which backs up into the reader.
+  constexpr std::int64_t n = 1 << 14;
+  constexpr int w = 16;
+  const host::Device dev(sim::DeviceId::Stratix10);
+  const auto x = Workload(54).vector<float>(n);
+  std::vector<float> out_a(x.size()), out_b(x.size());
+  Graph g(Mode::Cycle);
+  const auto banks = board_banks(g, dev, RoutineKind::Copy);
+  const std::size_t cap = host::detail::chan_cap(w);
+  auto& in = g.channel<float>("in", cap);
+  auto& a = g.channel<float>("a", cap);
+  auto& b = g.channel<float>("b", cap);
+  auto& bt = g.channel<float>("b_throttled", cap);
+  g.spawn("read_x", read_vector<float>(VectorView<const float>(x.data(), n),
+                                       1, w, in, banks[0]));
+  g.spawn("fan", fanout2<float>(n, w, in, a, b));
+  g.spawn("write_a", write_vector<float>(VectorView<float>(out_a.data(), n),
+                                         1, w, a, banks[1]));
+  g.spawn("throttle", throttle(n, 11, b, bt));
+  g.spawn("write_b", write_vector<float>(VectorView<float>(out_b.data(), n),
+                                         1, w, bt, banks[2]));
+  const Observed o = observe(g, banks, {&out_a, &out_b}, {}, false);
+  EXPECT_TRUE(o.error.empty()) << o.error;
+  EXPECT_EQ(pin(o),
+            "cycles=1492 stall=1341 resumes=1858,1486,1893,1493,1494"
+            " pushed=16384,16384,16384,16384 popped=16384,16384,16384,16384"
+            " peaks=64,35,64,21 stalls=668,699,458,301"
+            " bytes=65536,65536,65536,0 out=bf4d6f19f2552d39");
+}
+
+TEST(StreamGolden, BoardGer) {
+  constexpr std::int64_t n = 256;
+  constexpr int w = 16;
+  const host::Device dev(sim::DeviceId::Stratix10);
+  const auto a = Workload(55).matrix<float>(n, n);
+  const auto x = Workload(56).vector<float>(n);
+  const auto y = Workload(57).vector<float>(n);
+  std::vector<float> out(a.size());
+  Graph g(Mode::Cycle);
+  const auto banks = board_banks(g, dev, RoutineKind::Ger);
+  core::GerConfig cfg;
+  cfg.tile_rows = cfg.tile_cols = 64;
+  const TileSchedule sched = core::ger_a_schedule(cfg);
+  const std::size_t cap = host::detail::chan_cap(w);
+  auto& ca = g.channel<float>("A", cap);
+  auto& cx = g.channel<float>("x", cap);
+  auto& cy = g.channel<float>("y", cap);
+  auto& co = g.channel<float>("out", cap);
+  g.spawn("read_A", read_matrix<float>(MatrixView<const float>(a.data(), n, n),
+                                       sched, 1, w, ca, banks[0]));
+  g.spawn("read_x",
+          read_vector<float>(VectorView<const float>(x.data(), n),
+                             core::ger_x_repeat(cfg, n, n), w, cx, banks[1]));
+  g.spawn("read_y",
+          read_vector<float>(VectorView<const float>(y.data(), n),
+                             core::ger_y_repeat(cfg, n, n), w, cy, banks[2]));
+  g.spawn("ger", core::ger<float>(cfg, n, n, 0.75f, ca, cx, cy, co));
+  g.spawn("write_A", write_matrix<float>(MatrixView<float>(out.data(), n, n),
+                                         sched, w, co, banks[3]));
+  const Observed o = observe(g, banks, {&out}, {}, false);
+  EXPECT_TRUE(o.error.empty()) << o.error;
+  EXPECT_EQ(pin(o),
+            "cycles=4742 stall=7078 resumes=4740,22,89,4741,4740"
+            " pushed=65536,256,1024,65536 popped=65536,256,1024,65536"
+            " peaks=64,64,64,54 stalls=637,6,15,1"
+            " bytes=262144,1024,4096,262144 out=ba0848ba3485637f");
+}
+
+TEST(StreamGolden, SeededRandomGraphs) {
+  // The BurstExactness graph families on banks with fractional, narrow
+  // and wide budgets (below one element per cycle up to more than a
+  // burst), with taps and occupancy sampling on.
+  std::mt19937 rng(4096);
+  constexpr double kBudgets[] = {0.3, 2.5, 9.0, 63.7, 100.0};
+  auto budget = [&] { return kBudgets[rng() % 5]; };
+  std::vector<std::string> got;
+  for (int round = 0; round < 3; ++round) {
+    VectorCase v(rng);
+    for (double& b : v.bank_bytes) b = budget();
+    got.push_back(pin_hashed(v.run(true, Mode::Cycle)));
+    GemvCase gm(rng);
+    gm.bank_bytes = budget();
+    got.push_back(pin_hashed(gm.run(true, Mode::Cycle)));
+    MatrixCase m(rng);
+    m.bank_bytes = budget();
+    got.push_back(pin_hashed(m.run(true, Mode::Cycle)));
+    FanoutCase f(rng);
+    f.bank_bytes = budget();
+    got.push_back(pin_hashed(f.run(true, Mode::Cycle)));
+    GerCase r(rng);
+    r.bank_bytes = budget();
+    got.push_back(pin_hashed(r.run(true, Mode::Cycle)));
+  }
+  const std::vector<std::string> want = {
+      "cycles=10721 stall=69255 all=faa3ffc29b362861",
+      "cycles=5107 stall=14224 all=4bd51e6bddbfb4f9",
+      "cycles=43 stall=69 all=6774a02856237da3",
+      "cycles=249 stall=124 all=83d634d00a120cb4",
+      "cycles=168 stall=461 all=15f2a8ae43c75e9d",
+      "cycles=882 stall=6915 all=d279e4b2a1ce905",
+      "cycles=161 stall=365 all=a2eea4368acf354",
+      "cycles=10881 stall=9514 all=88af54e9359195c8",
+      "cycles=4054 stall=10350 all=ac2dbf378c250ca2",
+      "cycles=10801 stall=22103 all=77549c267d751118",
+      "cycles=174 stall=828 all=8eb6fe54685b987c",
+      "cycles=1201 stall=3251 all=691bc7ea2c4b4ec6",
+      "cycles=134 stall=66 all=a5241bb781535ec8",
+      "cycles=269 stall=134 all=f43e97d9e11f166c",
+      "cycles=3987 stall=12658 all=4374571d81400a8b",
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]) << "graph " << k;
   }
 }
 
