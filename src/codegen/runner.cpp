@@ -1,168 +1,71 @@
 #include "codegen/runner.hpp"
 
-#include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
-#include "fblas/level1.hpp"
+#include "common/routines.hpp"
+#include "host/kinds.hpp"
 #include "stream/graph.hpp"
-#include "stream/streamers.hpp"
 
 namespace fblas::codegen {
 namespace {
 
-/// Typed implementation; the design's precision picks T.
+/// Typed implementation; the design's precision picks T. The design runs
+/// as feed -> its kind's module from the per-kind table -> collect.
 template <typename T>
 Level1Result run_typed(const GeneratedDesign& design, stream::Mode mode,
                        const Level1Inputs& in) {
   const RoutineSpec& spec = design.spec;
-  const core::Level1Config cfg = design.level1_config();
-  const std::int64_t n = static_cast<std::int64_t>(in.x.size());
-  const std::size_t cap =
-      static_cast<std::size_t>(std::max(64, 2 * cfg.width));
-  std::vector<T> x(in.x.begin(), in.x.end());
-  std::vector<T> y(in.y.begin(), in.y.end());
-  const T alpha = static_cast<T>(in.alpha);
+  const RoutineInfo& info = routine_info(spec.kind);
+  if (info.level != 1) {
+    throw ConfigError("run_level1 supports Level-1 routines only; '" +
+                      std::string(info.name) + "' is Level " +
+                      std::to_string(info.level));
+  }
+  host::kinds::Call<T> c;
+  c.n = static_cast<std::int64_t>(in.x.size());
+  c.alpha = static_cast<T>(in.alpha);
+  c.c = static_cast<T>(in.c);
+  c.s = static_cast<T>(in.s);
+  // ROTM runs with H from flag 0: [1 s; -s 1].
+  c.param = {T(0), T(0), static_cast<T>(-in.s), static_cast<T>(in.s), T(0)};
+  c.width = design.level1_config().width;
+
+  // Input port k streams the first len values of x (operand 0) or y.
+  const auto ports = host::kinds::kind_of<T>(spec.kind).ports(c);
+  std::vector<std::vector<T>> feeds;
+  for (int p = 0; p < info.inputs; ++p) {
+    const std::vector<double>& src = ports[p].operand == 0 ? in.x : in.y;
+    const auto len = static_cast<std::size_t>(ports[p].len);
+    FBLAS_REQUIRE(src.size() >= len, "run_level1: too few input values");
+    feeds.emplace_back(src.begin(), src.begin() + static_cast<long>(len));
+  }
 
   stream::Graph g(mode);
+  host::kinds::Fed<T> fed;
+  host::kinds::build_fed<T>(g, spec.kind, c, spec.user_name, std::move(feeds),
+                            fed);
+  g.run();
+
+  // An output that updates y in place comes back in out_y, every other
+  // vector output in out_x.
   Level1Result result;
-  std::vector<T> ox, oy, scalar_out;
-  std::vector<std::int64_t> index_out;
-
-  auto finish = [&] {
-    g.run();
-    result.cycles = g.cycles();
-    result.out_x.assign(ox.begin(), ox.end());
-    result.out_y.assign(oy.begin(), oy.end());
-    if (!scalar_out.empty()) result.scalar = scalar_out[0];
-    if (!index_out.empty()) result.index = index_out[0];
-  };
-
-  switch (spec.kind) {
-    case RoutineKind::Scal: {
-      auto& ci = g.channel<T>("x", cap);
-      auto& co = g.channel<T>("o", cap);
-      g.spawn("feed", stream::feed(x, ci));
-      g.spawn(spec.user_name, core::scal<T>(cfg, n, alpha, ci, co));
-      g.spawn("collect", stream::collect<T>(n, co, ox));
-      finish();
-      return result;
+  result.cycles = g.cycles();
+  for (std::size_t p = static_cast<std::size_t>(info.inputs); p < ports.size();
+       ++p) {
+    const auto& vals = fed.out[p - static_cast<std::size_t>(info.inputs)];
+    if (ports[p].kind == host::kinds::PortKind::Index) {
+      result.index = fed.index.at(0);
+    } else if (ports[p].kind == host::kinds::PortKind::Scalar) {
+      result.scalar = static_cast<double>(vals.at(0));
+    } else {
+      const bool updates_y =
+          ports[p].operand == 1 && info.inputs > 1 && ports[1].operand == 1;
+      (updates_y ? result.out_y : result.out_x).assign(vals.begin(),
+                                                       vals.end());
     }
-    case RoutineKind::Copy: {
-      auto& ci = g.channel<T>("x", cap);
-      auto& co = g.channel<T>("o", cap);
-      g.spawn("feed", stream::feed(x, ci));
-      g.spawn(spec.user_name, core::copy<T>(cfg, n, ci, co));
-      g.spawn("collect", stream::collect<T>(n, co, ox));
-      finish();
-      return result;
-    }
-    case RoutineKind::Axpy: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cy = g.channel<T>("y", cap);
-      auto& co = g.channel<T>("o", cap);
-      g.spawn("feed_x", stream::feed(x, cx));
-      g.spawn("feed_y", stream::feed(y, cy));
-      g.spawn(spec.user_name, core::axpy<T>(cfg, n, alpha, cx, cy, co));
-      g.spawn("collect", stream::collect<T>(n, co, oy));
-      finish();
-      return result;
-    }
-    case RoutineKind::Swap:
-    case RoutineKind::Rot:
-    case RoutineKind::Rotm: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cy = g.channel<T>("y", cap);
-      auto& cox = g.channel<T>("ox", cap);
-      auto& coy = g.channel<T>("oy", cap);
-      g.spawn("feed_x", stream::feed(x, cx));
-      g.spawn("feed_y", stream::feed(y, cy));
-      if (spec.kind == RoutineKind::Swap) {
-        g.spawn(spec.user_name, core::swap<T>(cfg, n, cx, cy, cox, coy));
-      } else if (spec.kind == RoutineKind::Rot) {
-        g.spawn(spec.user_name,
-                core::rot<T>(cfg, n, static_cast<T>(in.c),
-                             static_cast<T>(in.s), cx, cy, cox, coy));
-      } else {
-        ref::RotmParam<T> p{T(0), T(0), static_cast<T>(-in.s),
-                            static_cast<T>(in.s), T(0)};
-        g.spawn(spec.user_name, core::rotm<T>(cfg, n, p, cx, cy, cox, coy));
-      }
-      g.spawn("collect_x", stream::collect<T>(n, cox, ox));
-      g.spawn("collect_y", stream::collect<T>(n, coy, oy));
-      finish();
-      return result;
-    }
-    case RoutineKind::Dot:
-    case RoutineKind::Sdsdot: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cy = g.channel<T>("y", cap);
-      auto& cr = g.channel<T>("r", 2);
-      g.spawn("feed_x", stream::feed(x, cx));
-      g.spawn("feed_y", stream::feed(y, cy));
-      if (spec.kind == RoutineKind::Dot) {
-        g.spawn(spec.user_name, core::dot<T>(cfg, n, cx, cy, cr));
-      } else {
-        if constexpr (std::is_same_v<T, float>) {
-          g.spawn(spec.user_name,
-                  core::sdsdot(cfg, n, static_cast<float>(in.alpha), cx, cy,
-                               cr));
-        } else {
-          throw ConfigError("sdsdot is a single-precision routine");
-        }
-      }
-      g.spawn("collect", stream::collect<T>(1, cr, scalar_out));
-      finish();
-      return result;
-    }
-    case RoutineKind::Nrm2:
-    case RoutineKind::Asum: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cr = g.channel<T>("r", 2);
-      g.spawn("feed", stream::feed(x, cx));
-      if (spec.kind == RoutineKind::Nrm2) {
-        g.spawn(spec.user_name, core::nrm2<T>(cfg, n, cx, cr));
-      } else {
-        g.spawn(spec.user_name, core::asum<T>(cfg, n, cx, cr));
-      }
-      g.spawn("collect", stream::collect<T>(1, cr, scalar_out));
-      finish();
-      return result;
-    }
-    case RoutineKind::Iamax: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cr = g.channel<std::int64_t>("r", 2);
-      g.spawn("feed", stream::feed(x, cx));
-      g.spawn(spec.user_name, core::iamax<T>(cfg, n, cx, cr));
-      g.spawn("collect", stream::collect<std::int64_t>(1, cr, index_out));
-      finish();
-      return result;
-    }
-    case RoutineKind::Rotg: {
-      auto& ci = g.channel<T>("in", 4);
-      auto& co = g.channel<T>("out", 8);
-      g.spawn("feed", stream::feed(std::vector<T>{x.at(0), x.at(1)}, ci));
-      g.spawn(spec.user_name, core::rotg<T>(ci, co));
-      g.spawn("collect", stream::collect<T>(4, co, ox));
-      finish();
-      return result;
-    }
-    case RoutineKind::Rotmg: {
-      auto& ci = g.channel<T>("in", 4);
-      auto& co = g.channel<T>("out", 8);
-      g.spawn("feed", stream::feed(std::vector<T>{x.at(0), x.at(1), x.at(2),
-                                                  x.at(3)},
-                                   ci));
-      g.spawn(spec.user_name, core::rotmg<T>(ci, co));
-      g.spawn("collect", stream::collect<T>(8, co, ox));
-      finish();
-      return result;
-    }
-    default:
-      throw ConfigError("run_level1 supports Level-1 routines only; '" +
-                        std::string(routine_info(spec.kind).name) +
-                        "' is Level " +
-                        std::to_string(routine_info(spec.kind).level));
   }
+  return result;
 }
 
 }  // namespace

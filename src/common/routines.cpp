@@ -8,29 +8,30 @@ namespace fblas {
 namespace {
 
 constexpr std::array<RoutineInfo, kRoutineCount> kRoutines{{
-    // kind, name, level, circuit, operands/W, ops/elem, matrix
-    {RoutineKind::Rotg, "rotg", 1, CircuitClass::Map, 2, 4, false},
-    {RoutineKind::Rotmg, "rotmg", 1, CircuitClass::Map, 4, 8, false},
-    {RoutineKind::Rot, "rot", 1, CircuitClass::Map, 2, 6, false},
-    {RoutineKind::Rotm, "rotm", 1, CircuitClass::Map, 2, 6, false},
-    {RoutineKind::Swap, "swap", 1, CircuitClass::Map, 2, 0, false},
-    {RoutineKind::Scal, "scal", 1, CircuitClass::Map, 1, 1, false},
-    {RoutineKind::Copy, "copy", 1, CircuitClass::Map, 1, 0, false},
-    {RoutineKind::Axpy, "axpy", 1, CircuitClass::Map, 2, 2, false},
-    {RoutineKind::Dot, "dot", 1, CircuitClass::MapReduce, 2, 2, false},
-    {RoutineKind::Sdsdot, "sdsdot", 1, CircuitClass::MapReduce, 2, 2, false},
-    {RoutineKind::Nrm2, "nrm2", 1, CircuitClass::MapReduce, 1, 2, false},
-    {RoutineKind::Asum, "asum", 1, CircuitClass::MapReduce, 1, 1, false},
-    {RoutineKind::Iamax, "iamax", 1, CircuitClass::MapReduce, 1, 1, false},
-    {RoutineKind::Gemv, "gemv", 2, CircuitClass::MapReduce, 2, 2, true},
-    {RoutineKind::Trsv, "trsv", 2, CircuitClass::MapReduce, 1, 2, true},
-    {RoutineKind::Ger, "ger", 2, CircuitClass::Map, 1, 2, true},
-    {RoutineKind::Syr, "syr", 2, CircuitClass::Map, 1, 2, true},
-    {RoutineKind::Syr2, "syr2", 2, CircuitClass::Map, 1, 4, true},
-    {RoutineKind::Gemm, "gemm", 3, CircuitClass::Systolic, 2, 2, true},
-    {RoutineKind::Syrk, "syrk", 3, CircuitClass::Systolic, 2, 2, true},
-    {RoutineKind::Syr2k, "syr2k", 3, CircuitClass::Systolic, 2, 4, true},
-    {RoutineKind::Trsm, "trsm", 3, CircuitClass::Systolic, 1, 2, true},
+    // kind, name, level, circuit, operands/W, ops/elem, matrix, inputs,
+    // min inputs, composable
+    {RoutineKind::Rotg, "rotg", 1, CircuitClass::Map, 2, 4, false, 1, 1, false},
+    {RoutineKind::Rotmg, "rotmg", 1, CircuitClass::Map, 4, 8, false, 1, 1, false},
+    {RoutineKind::Rot, "rot", 1, CircuitClass::Map, 2, 6, false, 2, 2, false},
+    {RoutineKind::Rotm, "rotm", 1, CircuitClass::Map, 2, 6, false, 2, 2, false},
+    {RoutineKind::Swap, "swap", 1, CircuitClass::Map, 2, 0, false, 2, 2, false},
+    {RoutineKind::Scal, "scal", 1, CircuitClass::Map, 1, 1, false, 1, 1, true},
+    {RoutineKind::Copy, "copy", 1, CircuitClass::Map, 1, 0, false, 1, 1, false},
+    {RoutineKind::Axpy, "axpy", 1, CircuitClass::Map, 2, 2, false, 2, 2, true},
+    {RoutineKind::Dot, "dot", 1, CircuitClass::MapReduce, 2, 2, false, 2, 2, true},
+    {RoutineKind::Sdsdot, "sdsdot", 1, CircuitClass::MapReduce, 2, 2, false, 2, 2, false},
+    {RoutineKind::Nrm2, "nrm2", 1, CircuitClass::MapReduce, 1, 2, false, 1, 1, false},
+    {RoutineKind::Asum, "asum", 1, CircuitClass::MapReduce, 1, 1, false, 1, 1, false},
+    {RoutineKind::Iamax, "iamax", 1, CircuitClass::MapReduce, 1, 1, false, 1, 1, false},
+    {RoutineKind::Gemv, "gemv", 2, CircuitClass::MapReduce, 2, 2, true, 3, 2, true},
+    {RoutineKind::Trsv, "trsv", 2, CircuitClass::MapReduce, 1, 2, true, 2, 2, true},
+    {RoutineKind::Ger, "ger", 2, CircuitClass::Map, 1, 2, true, 3, 3, true},
+    {RoutineKind::Syr, "syr", 2, CircuitClass::Map, 1, 2, true, 3, 3, false},
+    {RoutineKind::Syr2, "syr2", 2, CircuitClass::Map, 1, 4, true, 5, 5, false},
+    {RoutineKind::Gemm, "gemm", 3, CircuitClass::Systolic, 2, 2, true, 0, 0, false},
+    {RoutineKind::Syrk, "syrk", 3, CircuitClass::Systolic, 2, 2, true, 0, 0, false},
+    {RoutineKind::Syr2k, "syr2k", 3, CircuitClass::Systolic, 2, 4, true, 0, 0, false},
+    {RoutineKind::Trsm, "trsm", 3, CircuitClass::Systolic, 1, 2, true, 0, 0, false},
 }};
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -95,21 +96,22 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   // The multiply-accumulate of k A-elements at tile position (o, i..):
   // the partial sums are indexed by row (by column when transposed) and x
   // by the other coordinate, so one of them stays fixed along the burst.
-  // Alpha is applied first where the partial sums are full-length
-  // (`scaled`). Every sum takes its terms in the per-element order.
+  // Where the partial sums are full-length (`scaled`: std::true_type)
+  // each product is (alpha * a) * x, alpha rounded into a first. Every
+  // sum takes its terms in the per-element order.
   const bool dst_on_outer = row_elems != trans;
-  auto mac = [&](T* dst, bool scaled, std::int64_t o, std::int64_t i,
+  auto mac = [&](auto scaled, T* dst, std::int64_t o, std::int64_t i,
                  std::size_t k) {
-    if (scaled) {
-      for (std::size_t e = 0; e < k; ++e) abuf[e] = alpha * abuf[e];
-    }
+    const auto a = [&](std::size_t e) -> T {
+      return scaled ? alpha * abuf[e] : abuf[e];
+    };
     if (dst_on_outer) {
       T s = dst[o];
-      for (std::size_t e = 0; e < k; ++e) s += abuf[e] * xbuf[i + e];
+      for (std::size_t e = 0; e < k; ++e) s += a(e) * xbuf[i + e];
       dst[o] = s;
     } else {
       const T xo = xbuf[o];
-      for (std::size_t e = 0; e < k; ++e) dst[i + e] += abuf[e] * xo;
+      for (std::size_t e = 0; e < k; ++e) dst[i + e] += a(e) * xo;
     }
   };
 
@@ -141,7 +143,7 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                 std::min<std::int64_t>(W - in_cycle, ni - i));
             std::size_t k = ch_a.try_take_n(abuf.data(), want);
             if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
-            mac(acc.data(), false, o, i, k);
+            mac(std::false_type{}, acc.data(), o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
@@ -184,7 +186,7 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                 std::min<std::int64_t>(W - in_cycle, ni - i));
             std::size_t k = ch_a.try_take_n(abuf.data(), want);
             if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
-            mac(block, true, o, i, k);
+            mac(std::true_type{}, block, o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
@@ -225,7 +227,7 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                 std::min<std::int64_t>(W - in_cycle, ni - i));
             std::size_t k = ch_a.try_take_n(abuf.data(), want);
             if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
-            mac(part.data() + tj * TM, true, o, i, k);
+            mac(std::true_type{}, part.data() + tj * TM, o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;
@@ -268,7 +270,7 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                 std::min<std::int64_t>(W - in_cycle, ni - i));
             std::size_t k = ch_a.try_take_n(abuf.data(), want);
             if (k == 0) k = co_await ch_a.pop_n(abuf.data(), want);
-            mac(acc.data(), false, o, i, k);
+            mac(std::false_type{}, acc.data(), o, i, k);
             i += static_cast<std::int64_t>(k);
             if ((in_cycle += static_cast<int>(k)) == W) {
               in_cycle = 0;

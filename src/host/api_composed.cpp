@@ -3,7 +3,11 @@
 // (channel creation, module spawning, fan-outs, zero inputs, DRAM round
 // trips for cut edges, checksum predictions, the refblas fallback) is
 // derived here from mdag::Compiled, so an app is nothing but a
-// host::Composition description.
+// host::Composition description. Compute nodes lower through the per-kind
+// module table (host/kinds.hpp): its module, its ports (which pick the
+// reader or writer of an edge through detail::read_port/write_port), its
+// refblas fallback and its forward-replay prediction rule — the same
+// descriptors single host calls and the codegen runner use.
 //
 // Execution of one composition is ONE command on the fault-tolerance
 // ladder: retries roll the write set back, verification compares every
@@ -25,15 +29,11 @@
 #include "common/error.hpp"
 #include "common/routines.hpp"
 #include "common/types.hpp"
-#include "fblas/level1.hpp"
-#include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "host/context.hpp"
 #include "host/detail.hpp"
-#include "mdag/checksum.hpp"
+#include "host/kinds.hpp"
 #include "mdag/compile.hpp"
-#include "refblas/level1.hpp"
-#include "refblas/level2.hpp"
 #include "sim/frequency_model.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
@@ -43,15 +43,12 @@
 namespace fblas::host {
 namespace {
 
+using kinds::Flow;
+using kinds::PortKind;
 using mdag::CompiledChannel;
 
 std::int64_t per_pass(const mdag::StreamSig& s) {
   return s.repeat > 0 ? s.count / s.repeat : s.count;
-}
-
-Uplo op_uplo_of(const mdag::NodeSemantics& s) {
-  if (s.trans == Transpose::None) return s.uplo;
-  return s.uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower;
 }
 
 /// Everything a composed command carries across the executor hooks.
@@ -71,25 +68,70 @@ struct ComposedState {
   std::vector<verify::GraphChecker> chk;
   /// Buffer-writer audits: node -> predicted checksum of the material-
   /// ized output (catches corruption past the last FIFO tap).
-  std::vector<std::pair<int, mdag::EdgeChecksum>> audits;
+  std::vector<std::pair<int, verify::EdgeChecksum>> audits;
 };
 
-/// The trsv dimension: rows of the solve, read off the output stream.
-std::int64_t trsv_dim(const mdag::Mdag& g, const mdag::Compiled& cp, int u) {
-  const auto outs = cp.out_edges(g, u);
-  return per_pass(g.edge(outs[0]).produced);
+/// The call compute node `u`'s module runs with: its coefficients and
+/// flags, its shape read off its in-edges.
+template <typename T>
+kinds::Call<T> call_of(const Composition<T>& comp, const mdag::Compiled& cp,
+                       int u) {
+  const mdag::Mdag& g = comp.graph();
+  const mdag::NodeSemantics& s = comp.semantics()[static_cast<std::size_t>(u)];
+  const auto ins = cp.in_edges(g, u);
+  kinds::Call<T> c;
+  c.alpha = comp.alpha_of(u);
+  c.beta = cp.has_zero(u) ? T(0) : comp.beta_of(u);
+  c.trans = s.trans;
+  c.uplo = s.uplo;
+  c.diag = s.diag;
+  c.width = cp.options.width;
+  c.n = per_pass(g.edge(ins.back()).consumed);
+  const mdag::StreamSig& a = g.edge(ins[0]).consumed;
+  if (a.is_matrix) {
+    c.rows = a.rows;
+    c.cols = a.cols;
+    c.tiling = a.sched.tile_order == Order::RowMajor
+                   ? core::MatrixTiling::TilesByRows
+                   : core::MatrixTiling::TilesByCols;
+    c.tile_rows = a.sched.tile_rows;
+    c.tile_cols = a.sched.tile_cols;
+    c.elem_order = a.sched.elem_order;
+  }
+  return c;
 }
 
-/// True when edge `e` feeds the b port (port 1) of a TRSV node, whose
-/// stream must arrive in solve order rather than natural order.
-bool is_trsv_b(const mdag::Mdag& g, const mdag::Compiled& cp, int e) {
-  const mdag::Edge& edge = g.edge(e);
-  const mdag::Node& to = g.node(edge.to);
-  if (to.type != mdag::NodeType::Compute || to.kind != RoutineKind::Trsv) {
-    return false;
+/// The DRAM port edge `e` (signature `sig`) is read or written through:
+/// the special order of compute node `end`'s port (a triangle, solve
+/// order) when `end` is one of its endpoints, else a plain vector or
+/// matrix stream of `sig`.
+template <typename T>
+kinds::Port edge_port(const Composition<T>& comp, const mdag::Compiled& cp,
+                      int e, const mdag::StreamSig& sig, int end) {
+  kinds::Port p;
+  p.kind = sig.is_matrix ? PortKind::Matrix : PortKind::Vector;
+  p.len = per_pass(sig);
+  p.rows = sig.rows;
+  p.cols = sig.cols;
+  p.repeat = sig.repeat;
+  p.sched = sig.sched;
+  const mdag::Mdag& g = comp.graph();
+  if (end < 0 || g.node(end).type != mdag::NodeType::Compute) return p;
+  const RoutineKind kind = g.node(end).kind;
+  std::size_t port = static_cast<std::size_t>(routine_info(kind).inputs);
+  if (g.edge(e).to == end) {
+    const auto ins = cp.in_edges(g, end);
+    port = static_cast<std::size_t>(
+        std::find(ins.begin(), ins.end(), e) - ins.begin());
   }
-  const auto ins = cp.in_edges(g, edge.to);
-  return ins.size() == 2 && ins[1] == e;
+  const kinds::Port tp =
+      kinds::kind_of<T>(kind).ports(call_of(comp, cp, end))[port];
+  if (tp.kind != PortKind::Triangular && tp.kind != PortKind::SolveOrder) {
+    return p;
+  }
+  FBLAS_REQUIRE(tp.kind != PortKind::SolveOrder || sig.repeat == 1,
+                "composition: a TRSV b stream cannot be replayed");
+  return tp;
 }
 
 /// Out-edges of `u` that stream in u's own component (everything except
@@ -121,7 +163,6 @@ template <typename T>
 void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
   const mdag::Mdag& g = st.comp.graph();
   const mdag::Compiled& cp = st.cp;
-  const auto& sem = st.comp.semantics();
   const int width = cp.options.width;
   if (cp.order[c].empty()) return;
 
@@ -144,11 +185,16 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     }
     return chan(cp.edge_channel[static_cast<std::size_t>(e)]);
   };
+  const auto in_channel = [&](int e) -> stream::Channel<T>& {
+    return cp.edge_cut[static_cast<std::size_t>(e)]
+               ? chan(st.readback_name.at(e))
+               : chan(cp.edge_channel[static_cast<std::size_t>(e)]);
+  };
 
   // Scalar collect targets must outlive run_graph.
-  std::vector<std::unique_ptr<std::vector<T>>> held;
-  std::vector<std::pair<T*, const std::vector<T>*>> scalars;
+  std::deque<std::pair<T*, std::vector<T>>> scalars;
 
+  const auto& sem = st.comp.semantics();
   for (int u : cp.order[c]) {
     const mdag::Node& node = g.node(u);
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
@@ -158,26 +204,10 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     // Consumer side of cut in-edges: re-read the materialized stream.
     for (int e : ins) {
       if (!cp.edge_cut[static_cast<std::size_t>(e)]) continue;
-      const mdag::StreamSig& sig = g.edge(e).consumed;
-      const Buffer<T>* src = cut_source(st, e);
-      stream::DramBank* bank = banks.at(src->bank());
       const std::string& name = st.readback_name.at(e);
-      if (sig.is_matrix) {
-        sg.spawn(name,
-                 stream::read_matrix<T>(src->cmat(sig.rows, sig.cols),
-                                        sig.sched, sig.repeat, width,
-                                        chan(name), bank));
-      } else if (is_trsv_b(g, cp, e)) {
-        FBLAS_REQUIRE(sig.repeat == 1,
-                      "composition: a TRSV b stream cannot be replayed");
-        sg.spawn(name, detail::read_vector_solve_order<T>(
-                           src->cvec(per_pass(sig)), op_uplo_of(s), width,
-                           chan(name), bank));
-      } else {
-        sg.spawn(name,
-                 stream::read_vector<T>(src->cvec(per_pass(sig)), sig.repeat,
-                                        width, chan(name), bank));
-      }
+      sg.spawn(name, detail::read_port<T>(
+                         edge_port(st.comp, cp, e, g.edge(e).consumed, u),
+                         *cut_source(st, e), 1, width, chan(name), banks));
     }
 
     if (cp.has_zero(u)) {
@@ -187,141 +217,44 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
                                    chan(cp.zero_name[zi])));
     }
 
+    stream::Channel<T>* dst = nullptr;
+    if (!br.empty()) {
+      dst = cp.has_trunk(u) ? &chan(cp.trunk_of(u)) : &branch_channel(br[0]);
+    }
     if (node.type == mdag::NodeType::Interface && !s.is_output) {
       // All consumers may re-read the operand from DRAM directly.
       if (br.empty()) continue;
-      stream::Channel<T>& dst =
-          cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
-      const mdag::StreamSig& sig = g.edge(br[0]).produced;
-      const Buffer<T>& buf = *st.comp.binding(u).in;
-      stream::DramBank* bank = banks.at(buf.bank());
-      if (s.triangular) {
-        const std::int64_t n = trsv_dim(g, cp, g.edge(br[0]).to);
-        sg.spawn(node.name,
-                 core::read_triangular<T>(buf.cmat(n, n), op_uplo_of(s), width,
-                                          dst, bank, s.trans));
-      } else if (sig.is_matrix) {
-        sg.spawn(node.name,
-                 stream::read_matrix<T>(buf.cmat(sig.rows, sig.cols), sig.sched,
-                                        sig.repeat, width, dst, bank));
-      } else if (br.size() == 1 && is_trsv_b(g, cp, br[0])) {
-        FBLAS_REQUIRE(sig.repeat == 1,
-                      "composition: a TRSV b stream cannot be replayed");
-        sg.spawn(node.name,
-                 detail::read_vector_solve_order<T>(
-                     buf.cvec(per_pass(sig)),
-                     op_uplo_of(sem[static_cast<std::size_t>(g.edge(br[0]).to)]),
-                     width, dst, bank));
-      } else {
-        sg.spawn(node.name,
-                 stream::read_vector<T>(buf.cvec(per_pass(sig)), sig.repeat,
-                                        width, dst, bank));
-      }
+      const int end = br.size() == 1 ? g.edge(br[0]).to : -1;
+      sg.spawn(node.name,
+               detail::read_port<T>(
+                   edge_port(st.comp, cp, br[0], g.edge(br[0]).produced, end),
+                   *st.comp.binding(u).in, 1, width, *dst, banks));
     } else if (node.type == mdag::NodeType::Interface) {
       // Writer: drain the in-stream into its binding.
       const int e = ins[0];
-      const mdag::StreamSig& sig = g.edge(e).consumed;
-      stream::Channel<T>& src =
-          cp.edge_cut[static_cast<std::size_t>(e)]
-              ? chan(st.readback_name.at(e))
-              : chan(cp.edge_channel[static_cast<std::size_t>(e)]);
+      stream::Channel<T>& src = in_channel(e);
       const auto& b = st.comp.binding(u);
       if (b.scalar != nullptr) {
-        held.emplace_back(new std::vector<T>());
-        scalars.emplace_back(b.scalar, held.back().get());
-        sg.spawn(node.name, stream::collect<T>(sig.count, src, *held.back()));
+        auto& [dst, vals] = scalars.emplace_back(b.scalar, std::vector<T>());
+        sg.spawn(node.name,
+                 stream::collect<T>(g.edge(e).consumed.count, src, vals));
       } else {
-        Buffer<T>& buf = *b.out;
-        stream::DramBank* bank = banks.at(buf.bank());
-        const mdag::Node& prod = g.node(g.edge(e).from);
-        if (sig.is_matrix) {
-          sg.spawn(node.name,
-                   stream::write_matrix<T>(buf.mat(sig.rows, sig.cols),
-                                           sig.sched, width, src, bank));
-        } else if (prod.type == mdag::NodeType::Compute &&
-                   prod.kind == RoutineKind::Trsv) {
-          sg.spawn(node.name,
-                   detail::write_vector_solve_order<T>(
-                       buf.vec(per_pass(sig)),
-                       op_uplo_of(sem[static_cast<std::size_t>(g.edge(e).from)]),
-                       width, src, bank));
-        } else {
-          sg.spawn(node.name,
-                   stream::write_vector<T>(buf.vec(per_pass(sig)), sig.repeat,
-                                           width, src, bank));
-        }
+        sg.spawn(node.name,
+                 detail::write_port<T>(edge_port(st.comp, cp, e,
+                                                 g.edge(e).consumed,
+                                                 g.edge(e).from),
+                                       *b.out, 1, width, src, banks));
       }
     } else {
-      // Compute node.
-      std::vector<stream::Channel<T>*> in_ch;
-      for (int e : ins) {
-        in_ch.push_back(cp.edge_cut[static_cast<std::size_t>(e)]
-                            ? &chan(st.readback_name.at(e))
-                            : &chan(cp.edge_channel[static_cast<std::size_t>(e)]));
+      // Compute node: its in-edges, the synthesized zero, then its output.
+      std::vector<stream::ChannelBase*> ports;
+      for (int e : ins) ports.push_back(&in_channel(e));
+      if (cp.has_zero(u)) {
+        ports.push_back(&chan(cp.zero_name[cp.zero_index(u)]));
       }
-      stream::Channel<T>& dst =
-          cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
-      const std::int64_t out_n = per_pass(g.edge(br[0]).produced);
-      switch (node.kind) {
-        case RoutineKind::Gemv: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          core::GemvConfig cfg;
-          cfg.trans = s.trans;
-          cfg.tiling = a.sched.tile_order == Order::RowMajor
-                           ? core::MatrixTiling::TilesByRows
-                           : core::MatrixTiling::TilesByCols;
-          cfg.width = width;
-          cfg.tile_rows = a.sched.tile_rows;
-          cfg.tile_cols = a.sched.tile_cols;
-          cfg.elem_order = a.sched.elem_order;
-          const T beta = cp.has_zero(u) ? T(0) : st.comp.beta_of(u);
-          stream::Channel<T>& y0 =
-              cp.has_zero(u) ? chan(cp.zero_name[cp.zero_index(u)])
-                             : *in_ch[2];
-          sg.spawn(node.name,
-                   core::gemv<T>(cfg, a.rows, a.cols, st.comp.alpha_of(u),
-                                 beta, *in_ch[0], *in_ch[1], y0, dst));
-          break;
-        }
-        case RoutineKind::Ger: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          core::GerConfig cfg;
-          cfg.tiling = a.sched.tile_order == Order::RowMajor
-                           ? core::MatrixTiling::TilesByRows
-                           : core::MatrixTiling::TilesByCols;
-          cfg.width = width;
-          cfg.tile_rows = a.sched.tile_rows;
-          cfg.tile_cols = a.sched.tile_cols;
-          cfg.elem_order = a.sched.elem_order;
-          sg.spawn(node.name,
-                   core::ger<T>(cfg, a.rows, a.cols, st.comp.alpha_of(u),
-                                *in_ch[0], *in_ch[1], *in_ch[2], dst));
-          break;
-        }
-        case RoutineKind::Trsv: {
-          const core::TrsvConfig cfg{op_uplo_of(s), s.diag, width};
-          sg.spawn(node.name, core::trsv<T>(cfg, out_n, *in_ch[0], *in_ch[1],
-                                            dst));
-          break;
-        }
-        case RoutineKind::Axpy:
-          sg.spawn(node.name, core::axpy<T>({width}, out_n, st.comp.alpha_of(u),
-                                            *in_ch[0], *in_ch[1], dst));
-          break;
-        case RoutineKind::Scal:
-          sg.spawn(node.name, core::scal<T>({width}, out_n, st.comp.alpha_of(u),
-                                            *in_ch[0], dst));
-          break;
-        case RoutineKind::Dot: {
-          const std::int64_t n = per_pass(g.edge(ins[0]).consumed);
-          sg.spawn(node.name,
-                   core::dot<T>({width}, n, *in_ch[0], *in_ch[1], dst));
-          break;
-        }
-        default:
-          throw ConfigError("composition: no lowering for node '" + node.name +
-                            "'");
-      }
+      ports.push_back(dst);
+      sg.spawn(node.name, kinds::kind_of<T>(node.kind).module(
+                              call_of(st.comp, cp, u), ports.data()));
     }
 
     if (cp.has_trunk(u)) {
@@ -337,19 +270,12 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
           cp.cut_of(e).writer >= 0) {
         continue;
       }
-      const mdag::StreamSig& sig = g.edge(e).produced;
-      Buffer<T>& scr = *st.scratch[st.scratch_of.at(e)];
-      stream::DramBank* bank = banks.at(scr.bank());
       const std::string& name = st.spill_name.at(e);
-      if (sig.is_matrix) {
-        sg.spawn(name + ".w",
-                 stream::write_matrix<T>(scr.mat(sig.rows, sig.cols), sig.sched,
-                                         width, chan(name), bank));
-      } else {
-        sg.spawn(name + ".w",
-                 stream::write_vector<T>(scr.vec(per_pass(sig)), sig.repeat,
-                                         width, chan(name), bank));
-      }
+      sg.spawn(name + ".w",
+               detail::write_port<T>(
+                   edge_port(st.comp, cp, e, g.edge(e).produced, -1),
+                   *st.scratch[st.scratch_of.at(e)], 1, width, chan(name),
+                   banks));
     }
   }
 
@@ -358,7 +284,7 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
   if (chk != nullptr) chk->arm(sg);
   ctx.run_graph(sg);
   if (chk != nullptr) chk->capture(sg);
-  for (const auto& [dst, vals] : scalars) *dst = vals->at(0);
+  for (const auto& [dst, vals] : scalars) *dst = vals.at(0);
 }
 
 // ---- CPU fallback: topological replay over refblas -----------------------
@@ -376,7 +302,7 @@ void run_fallback(ComposedState<T>& st) {
     const auto ins = cp.in_edges(g, u);
     const auto outs = cp.out_edges(g, u);
     if (node.type == mdag::NodeType::Interface && !s.is_output) {
-      if (s.triangular) continue;  // the TRSV rule reads the binding
+      if (s.triangular) continue;  // the solver reads the binding
       const Buffer<T>& buf = *st.comp.binding(u).in;
       for (int e : outs) {
         const mdag::StreamSig& sig = g.edge(e).produced;
@@ -399,76 +325,46 @@ void run_fallback(ComposedState<T>& st) {
         }
       }
     } else {
-      std::vector<T> out;
-      switch (node.kind) {
-        case RoutineKind::Gemv: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const std::int64_t on = s.trans == Transpose::None ? a.rows : a.cols;
-          const std::int64_t in_n = s.trans == Transpose::None ? a.cols : a.rows;
-          if (ins.size() == 3) {
-            out = val[static_cast<std::size_t>(ins[2])];
-          } else {
-            out.assign(static_cast<std::size_t>(on), T(0));
-          }
-          const T beta = cp.has_zero(u) ? T(0) : st.comp.beta_of(u);
-          ref::gemv<T>(s.trans, st.comp.alpha_of(u),
-                       MatrixView<const T>(
-                           val[static_cast<std::size_t>(ins[0])].data(), a.rows,
-                           a.cols),
-                       VectorView<const T>(
-                           val[static_cast<std::size_t>(ins[1])].data(), in_n),
-                       beta, VectorView<T>(out.data(), on));
-          break;
+      const kinds::Call<T> call = call_of(st.comp, cp, u);
+      const kinds::Kind<T>& kind = kinds::kind_of<T>(node.kind);
+      const auto ports = kind.ports(call);
+      const auto inputs =
+          static_cast<std::size_t>(routine_info(node.kind).inputs);
+      std::vector<kinds::In<T>> in(inputs);
+      for (std::size_t p = 0; p < ins.size(); ++p) {
+        const kinds::Port& port = ports[p];
+        const T* v = val[static_cast<std::size_t>(ins[p])].data();
+        if (port.kind == PortKind::Triangular) {
+          in[p].m = st.comp.binding(g.edge(ins[p]).from).in->cmat(port.rows,
+                                                                  port.cols);
+        } else if (port.kind == PortKind::Matrix) {
+          in[p].m = MatrixView<const T>(v, port.rows, port.cols);
+        } else {
+          in[p].v = VectorView<const T>(v, port.len);
         }
-        case RoutineKind::Ger: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          out = val[static_cast<std::size_t>(ins[0])];
-          ref::ger<T>(st.comp.alpha_of(u),
-                      VectorView<const T>(
-                          val[static_cast<std::size_t>(ins[1])].data(), a.rows),
-                      VectorView<const T>(
-                          val[static_cast<std::size_t>(ins[2])].data(), a.cols),
-                      MatrixView<T>(out.data(), a.rows, a.cols));
-          break;
-        }
-        case RoutineKind::Trsv: {
-          const std::int64_t n = trsv_dim(g, cp, u);
-          const Buffer<T>& a = *st.comp.binding(g.edge(ins[0]).from).in;
-          out = val[static_cast<std::size_t>(ins[1])];
-          ref::trsv<T>(s.uplo, s.trans, s.diag, a.cmat(n, n),
-                       VectorView<T>(out.data(), n));
-          break;
-        }
-        case RoutineKind::Axpy: {
-          out = val[static_cast<std::size_t>(ins[1])];
-          ref::axpy<T>(st.comp.alpha_of(u),
-                       VectorView<const T>(
-                           val[static_cast<std::size_t>(ins[0])].data(),
-                           static_cast<std::int64_t>(out.size())),
-                       VectorView<T>(out.data(),
-                                     static_cast<std::int64_t>(out.size())));
-          break;
-        }
-        case RoutineKind::Scal: {
-          out = val[static_cast<std::size_t>(ins[0])];
-          ref::scal<T>(st.comp.alpha_of(u),
-                       VectorView<T>(out.data(),
-                                     static_cast<std::int64_t>(out.size())));
-          break;
-        }
-        case RoutineKind::Dot: {
-          const auto& x = val[static_cast<std::size_t>(ins[0])];
-          const auto& y = val[static_cast<std::size_t>(ins[1])];
-          out = {ref::dot<T>(
-              VectorView<const T>(x.data(), static_cast<std::int64_t>(x.size())),
-              VectorView<const T>(y.data(),
-                                  static_cast<std::int64_t>(y.size())))};
-          break;
-        }
-        default:
-          throw ConfigError("composition: no fallback for node '" + node.name +
-                            "'");
       }
+      // The output starts as the input it updates in place (a zero
+      // stream when that input is synthesized).
+      const kinds::Port& op = ports[inputs];
+      std::vector<T> out(
+          static_cast<std::size_t>(op.kind == PortKind::Matrix
+                                       ? op.rows * op.cols
+                                       : op.len),
+          T(0));
+      for (std::size_t p = 0; p < ins.size(); ++p) {
+        if (ports[p].operand == op.operand) {
+          out = val[static_cast<std::size_t>(ins[p])];
+        }
+      }
+      kinds::Out<T> o;
+      if (op.kind == PortKind::Scalar) {
+        o.scalar = out.data();
+      } else if (op.kind == PortKind::Matrix) {
+        o.m = MatrixView<T>(out.data(), op.rows, op.cols);
+      } else {
+        o.v = VectorView<T>(out.data(), static_cast<std::int64_t>(out.size()));
+      }
+      kind.fallback(call, in.data(), &o);
       for (std::size_t i = 0; i < outs.size(); ++i) {
         val[static_cast<std::size_t>(outs[i])] =
             i + 1 == outs.size() ? std::move(out) : out;
@@ -479,36 +375,8 @@ void run_fallback(ComposedState<T>& st) {
 
 // ---- Checksum predictions ------------------------------------------------
 
-/// Per-pass stream values of one edge in double (matrices in row-major
-/// storage order): a bound operand read in place, or values this pass
-/// computed. `sum` and `asum` reduce them in element order.
 template <typename T>
-struct Flow {
-  const T* src = nullptr;    ///< bound operand, converted on access
-  std::vector<double> vals;  ///< computed values, when src is null
-  std::int64_t n = 0;
-  double sum = 0.0;
-  double asum = 0.0;
-  std::int64_t terms = 0;
-
-  double at(std::int64_t i) const {
-    return src != nullptr ? static_cast<double>(src[i])
-                          : vals[static_cast<std::size_t>(i)];
-  }
-};
-
-/// Calls `fn` with the flow's values, as `const T*` or `const double*`.
-template <typename T, typename Fn>
-void with_values(const Flow<T>& f, Fn&& fn) {
-  if (f.src != nullptr) {
-    fn(f.src);
-  } else {
-    fn(static_cast<const double*>(f.vals.data()));
-  }
-}
-
-template <typename T>
-mdag::EdgeChecksum scaled(const Flow<T>& f, std::int64_t repeat) {
+verify::EdgeChecksum scaled(const Flow<T>& f, std::int64_t repeat) {
   const double r = static_cast<double>(std::max<std::int64_t>(1, repeat));
   return {f.sum * r, f.asum * r,
           f.terms * std::max<std::int64_t>(1, repeat)};
@@ -547,47 +415,6 @@ void reduce_side_by_side(Flow<T>* const* fs, std::size_t k, const P*... v) {
   }
 }
 
-/// acc[i] = sum_j op(A)(i, j) x[j] for a rows x cols A, every sum in
-/// ascending j from 0.0.
-template <typename PA, typename PX>
-void gemv_sums(Transpose trans, std::int64_t rows, std::int64_t cols,
-               const PA* a, const PX* x, double* acc) {
-  const auto d = [](auto v) { return static_cast<double>(v); };
-  if (trans == Transpose::None) {
-    // Four rows' sums side by side.
-    std::int64_t i = 0;
-    for (; i + 4 <= rows; i += 4) {
-      const PA* r = a + i * cols;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const double xj = d(x[j]);
-        s0 += d(r[j]) * xj;
-        s1 += d(r[cols + j]) * xj;
-        s2 += d(r[2 * cols + j]) * xj;
-        s3 += d(r[3 * cols + j]) * xj;
-      }
-      acc[i] = s0;
-      acc[i + 1] = s1;
-      acc[i + 2] = s2;
-      acc[i + 3] = s3;
-    }
-    for (; i < rows; ++i) {
-      double s = 0.0;
-      for (std::int64_t j = 0; j < cols; ++j) s += d(a[i * cols + j]) * d(x[j]);
-      acc[i] = s;
-    }
-  } else {
-    // A^T x with the loops interchanged: A is read row by row in storage
-    // order, and each output still takes its terms in ascending j.
-    std::fill(acc, acc + cols, 0.0);
-    for (std::int64_t j = 0; j < rows; ++j) {
-      const double xj = d(x[j]);
-      const PA* r = a + j * cols;
-      for (std::int64_t i = 0; i < cols; ++i) acc[i] += d(r[i]) * xj;
-    }
-  }
-}
-
 }  // namespace
 
 template <typename T>
@@ -613,16 +440,16 @@ CompositionPredictions predict_checksums(const Composition<T>& comp,
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
     const auto ins = cp.in_edges(g, u);
     const auto outs = cp.out_edges(g, u);
-    const auto in_flow = [&](std::size_t port) -> const Flow<T>& {
-      return *flow[static_cast<std::size_t>(ins[port])];
-    };
 
     if (node.type == mdag::NodeType::Interface && !s.is_output) {
       const Buffer<T>& buf = *comp.binding(u).in;
       for (int e : outs) {
         const mdag::StreamSig& sig = g.edge(e).produced;
-        const std::int64_t tn =
-            s.triangular ? trsv_dim(g, cp, g.edge(e).to) : 0;
+        // A triangular reader streams op(A)'s triangle, packed row-major.
+        const kinds::Port tri =
+            s.triangular ? edge_port(comp, cp, e, sig, g.edge(e).to)
+                         : kinds::Port{};
+        const std::int64_t tn = tri.len;
         const std::int64_t n =
             s.triangular ? tn * (tn + 1) / 2
                          : (sig.is_matrix ? sig.rows * sig.cols : per_pass(sig));
@@ -642,165 +469,28 @@ CompositionPredictions predict_checksums(const Composition<T>& comp,
           continue;
         }
         const auto a = buf.cmat(tn, tn);
-        const Uplo tri = op_uplo_of(s);
         f->vals.reserve(static_cast<std::size_t>(n));
         for (std::int64_t i = 0; i < tn; ++i) {
           for (std::int64_t j = 0; j < tn; ++j) {
-            if (tri == Uplo::Lower ? j > i : j < i) continue;
+            if (tri.uplo == Uplo::Lower ? j > i : j < i) continue;
             f->vals.push_back(static_cast<double>(
-                s.trans == Transpose::None ? a(i, j) : a(j, i)));
+                tri.trans == Transpose::None ? a(i, j) : a(j, i)));
           }
         }
       }
     } else if (node.type == mdag::NodeType::Interface) {
       if (comp.binding(u).out != nullptr) {
-        audits.push_back({u, &in_flow(0), g.edge(ins[0]).consumed.repeat});
+        audits.push_back({u, flow[static_cast<std::size_t>(ins[0])],
+                          g.edge(ins[0]).consumed.repeat});
       }
     } else {
+      std::vector<const Flow<T>*> in;
+      for (int e : ins) in.push_back(flow[static_cast<std::size_t>(e)]);
       Flow<T>& out = store.emplace_back();
-      bool reduced = false;  // sums already set (the TRSV satellite rule)
-      switch (node.kind) {
-        case RoutineKind::Gemv: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const std::int64_t on = s.trans == Transpose::None ? a.rows : a.cols;
-          const Flow<T>& af = in_flow(0);
-          const Flow<T>& xf = in_flow(1);
-          const double beta = cp.has_zero(u) ? 0.0 : s.beta;
-          out.vals.resize(static_cast<std::size_t>(on));
-          double* acc = out.vals.data();
-          with_values(af, [&](const auto* av) {
-            with_values(xf, [&](const auto* xv) {
-              gemv_sums(s.trans, a.rows, a.cols, av, xv, acc);
-            });
-          });
-          if (ins.size() == 3) {
-            with_values(in_flow(2), [&](const auto* y0) {
-              for (std::int64_t i = 0; i < on; ++i) {
-                acc[i] = s.alpha * acc[i] + beta * static_cast<double>(y0[i]);
-              }
-            });
-          } else {
-            // The synthesized zero y0 still adds its term: it turns a
-            // -0.0 into +0.0, as the streamed module does.
-            for (std::int64_t i = 0; i < on; ++i) {
-              acc[i] = s.alpha * acc[i] + beta * 0.0;
-            }
-          }
-          out.terms = a.rows * a.cols + af.terms + xf.terms +
-                      (ins.size() == 3 ? in_flow(2).terms : on);
-          break;
-        }
-        case RoutineKind::Ger: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const Flow<T>& af = in_flow(0);
-          const Flow<T>& xf = in_flow(1);
-          const Flow<T>& yf = in_flow(2);
-          out.vals.resize(static_cast<std::size_t>(a.rows * a.cols));
-          double* o = out.vals.data();
-          with_values(af, [&](const auto* av) {
-            with_values(yf, [&](const auto* yv) {
-              for (std::int64_t i = 0; i < a.rows; ++i) {
-                const double ax = s.alpha * xf.at(i);
-                const auto* ar = av + i * a.cols;
-                double* orow = o + i * a.cols;
-                for (std::int64_t j = 0; j < a.cols; ++j) {
-                  orow[j] = static_cast<double>(ar[j]) +
-                            ax * static_cast<double>(yv[j]);
-                }
-              }
-            });
-          });
-          out.terms = af.terms + xf.terms * yf.terms;
-          break;
-        }
-        case RoutineKind::Trsv: {
-          // Re-solve in double: the mdag::trsv_propagate rule, with the
-          // b checksum folded into the bound.
-          const std::int64_t n = trsv_dim(g, cp, u);
-          const Buffer<T>& abuf = *comp.binding(g.edge(ins[0]).from).in;
-          const auto a = abuf.cmat(n, n);
-          const Flow<T>& bf = in_flow(1);
-          const auto op = [&](std::int64_t i, std::int64_t j) {
-            return static_cast<double>(s.trans == Transpose::None ? a(i, j)
-                                                                  : a(j, i));
-          };
-          const Uplo tri = op_uplo_of(s);
-          out.vals.assign(static_cast<std::size_t>(n), 0.0);
-          for (std::int64_t k = 0; k < n; ++k) {
-            const std::int64_t i = tri == Uplo::Lower ? k : n - 1 - k;
-            const std::int64_t j0 = tri == Uplo::Lower ? 0 : i + 1;
-            const std::int64_t j1 = tri == Uplo::Lower ? i : n;
-            double acc = bf.at(i);
-            for (std::int64_t j = j0; j < j1; ++j) {
-              acc -= op(i, j) * out.vals[static_cast<std::size_t>(j)];
-            }
-            out.vals[static_cast<std::size_t>(i)] =
-                s.diag == Diag::Unit ? acc : acc / op(i, i);
-          }
-          out.terms = n * n + bf.terms;
-          // When b is a materialized operand, the satellite rule predicts
-          // the same checksum straight from the bindings — use it.
-          const mdag::Node& bprod = g.node(g.edge(ins[1]).from);
-          if (bprod.type == mdag::NodeType::Interface) {
-            const Buffer<T>& bbuf = *comp.binding(g.edge(ins[1]).from).in;
-            const mdag::EdgeChecksum pc = mdag::trsv_propagate<T>(
-                s.uplo, s.trans, s.diag, abuf.cmat(n, n), bbuf.cvec(n));
-            out.sum = pc.pred;
-            out.asum = pc.mag;
-            out.terms = pc.terms + bf.terms;
-            reduced = true;
-          }
-          break;
-        }
-        case RoutineKind::Axpy: {
-          const Flow<T>& xf = in_flow(0);
-          const Flow<T>& yf = in_flow(1);
-          out.vals.resize(static_cast<std::size_t>(xf.n));
-          double* o = out.vals.data();
-          with_values(xf, [&](const auto* xv) {
-            with_values(yf, [&](const auto* yv) {
-              for (std::int64_t i = 0; i < xf.n; ++i) {
-                o[i] = s.alpha * static_cast<double>(xv[i]) +
-                       static_cast<double>(yv[i]);
-              }
-            });
-          });
-          out.terms = xf.terms + yf.terms;
-          break;
-        }
-        case RoutineKind::Scal: {
-          const Flow<T>& xf = in_flow(0);
-          out.vals.resize(static_cast<std::size_t>(xf.n));
-          double* o = out.vals.data();
-          with_values(xf, [&](const auto* xv) {
-            for (std::int64_t i = 0; i < xf.n; ++i) {
-              o[i] = s.alpha * static_cast<double>(xv[i]);
-            }
-          });
-          out.terms = xf.terms;
-          break;
-        }
-        case RoutineKind::Dot: {
-          const Flow<T>& xf = in_flow(0);
-          const Flow<T>& yf = in_flow(1);
-          double acc = 0.0;
-          with_values(xf, [&](const auto* xv) {
-            with_values(yf, [&](const auto* yv) {
-              for (std::int64_t i = 0; i < xf.n; ++i) {
-                acc += static_cast<double>(xv[i]) * static_cast<double>(yv[i]);
-              }
-            });
-          });
-          out.vals = {acc};
-          out.terms = xf.terms + yf.terms + xf.n;
-          break;
-        }
-        default:
-          throw ConfigError("composition: no checksum rule for node '" +
-                            node.name + "'");
-      }
+      kinds::kind_of<T>(node.kind).predict(call_of(comp, cp, u), in.data(),
+                                           in.size(), out);
       out.n = static_cast<std::int64_t>(out.vals.size());
-      if (!reduced) pending.push_back(&out);
+      pending.push_back(&out);
       for (int e : outs) flow[static_cast<std::size_t>(e)] = &out;
     }
   }
@@ -826,7 +516,7 @@ CompositionPredictions predict_checksums(const Composition<T>& comp,
   p.taps.resize(cp.channels.size());
   for (std::size_t c = 0; c < cp.channels.size(); ++c) {
     for (const CompiledChannel& cc : cp.channels[c]) {
-      mdag::EdgeChecksum pred;
+      verify::EdgeChecksum pred;
       switch (cc.role) {
         case CompiledChannel::Role::Edge:
         case CompiledChannel::Role::Spill:
@@ -844,8 +534,7 @@ CompositionPredictions predict_checksums(const Composition<T>& comp,
           break;
         }
         case CompiledChannel::Role::Zero:
-          pred = mdag::zero_checksum(
-              cp.zero_count[cp.zero_index(cc.id)]);
+          pred = verify::zero_checksum(cp.zero_count[cp.zero_index(cc.id)]);
           break;
       }
       p.taps[c].push_back(pred);
@@ -911,15 +600,21 @@ Event Context::run_composition_async(const Composition<T>& comp) {
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
     const auto& b = st->comp.binding(u);
     if (node.type != mdag::NodeType::Interface) {
-      if (node.kind == RoutineKind::Trsv) {
-        const auto ins = st->cp.in_edges(g, u);
-        const mdag::Node& aprod = g.node(g.edge(ins[0]).from);
+      // A triangle streams straight from its reader: same triangle and
+      // transposition as the solver, and never through DRAM.
+      const auto ins = st->cp.in_edges(g, u);
+      const auto ports =
+          kinds::kind_of<T>(node.kind).ports(call_of(st->comp, st->cp, u));
+      for (std::size_t p = 0; p < ins.size(); ++p) {
+        if (ports[p].kind != PortKind::Triangular) continue;
+        const int ra = g.edge(ins[p]).from;
+        const mdag::NodeSemantics& rs = sem[static_cast<std::size_t>(ra)];
         FBLAS_REQUIRE(
-            aprod.type == mdag::NodeType::Interface &&
-                sem[static_cast<std::size_t>(g.edge(ins[0]).from)].triangular,
+            g.node(ra).type == mdag::NodeType::Interface && rs.triangular &&
+                rs.uplo == s.uplo && rs.trans == s.trans,
             "composition: the TRSV A operand must come from a triangular "
-            "reader");
-        FBLAS_REQUIRE(!st->cp.edge_cut[static_cast<std::size_t>(ins[0])],
+            "reader of the same triangle and transposition");
+        FBLAS_REQUIRE(!st->cp.edge_cut[static_cast<std::size_t>(ins[p])],
                       "composition: a triangular stream cannot round-trip "
                       "through DRAM");
       }
@@ -932,7 +627,12 @@ Event Context::run_composition_async(const Composition<T>& comp) {
       FBLAS_REQUIRE(b.in != nullptr,
                     "composition: reader '" + node.name + "' has no binding");
       if (s.triangular) {
-        FBLAS_REQUIRE(st->cp.out_edges(g, u).size() == 1,
+        const auto outs = st->cp.out_edges(g, u);
+        FBLAS_REQUIRE(outs.size() == 1 &&
+                          edge_port(st->comp, st->cp, outs[0],
+                                    g.edge(outs[0]).produced,
+                                    g.edge(outs[0]).to)
+                                  .kind == PortKind::Triangular,
                       "composition: a triangular reader feeds exactly one "
                       "TRSV");
       }

@@ -1,107 +1,67 @@
-// Level-1 host API lowerings: reader -> module -> writer graphs.
+// Level-1 host API: every routine lowers through its descriptor in the
+// per-kind module table (host/kinds.hpp) via detail::lower_call, which
+// checks the operand views at enqueue and builds reader -> module ->
+// writer graphs with the refblas reference as the command's fallback.
 //
-// Each async routine enqueues a Command that declares its buffer read and
-// write sets (hazard tracking) and captures the RoutineConfig by value,
-// so commands in flight are unaffected by later config changes. Every
-// routine also attaches its refblas CPU reference path as the Command's
-// `fallback`, the graceful-degradation target once the RetryPolicy
-// exhausts device retries, and (when the captured config enables
-// verification) its ABFT checksum checkers. rotm and sdsdot carry no
+// What stays here is what differs per call: the buffer read and write
+// sets (hazard tracking) and, when the captured config enables
+// verification, the ABFT checksum checkers. rotm and sdsdot carry no
 // checker: rotm's modified-rotation flag cases have no single linear
 // checksum identity, and sdsdot's mixed-precision accumulation has no
 // tight double-precision bound — both stay covered by fault *detection*
 // (taint, watchdog) rather than result verification.
-#include <memory>
-
-#include "fblas/level1.hpp"
 #include "host/context.hpp"
 #include "host/detail.hpp"
-#include "sim/frequency_model.hpp"
+#include "host/kinds.hpp"
 #include "verify/abft.hpp"
 
 namespace fblas::host {
-namespace {
 
-template <typename T>
-sim::FrequencyEstimate freq_of(RoutineKind kind, const Device& dev) {
-  return sim::module_frequency(kind, PrecisionTraits<T>::value, dev.spec());
-}
-
-}  // namespace
-
+// The scalar setup routines run their module synchronously, fed from and
+// collected to host values.
 template <typename T>
 ref::Givens<T> Context::rotg(T& a, T& b) {
-  // Scalar setup routines run through the streaming module for fidelity.
   stream::Graph g(mode_);
-  auto& in = g.channel<T>("ab", 4);
-  auto& out = g.channel<T>("rzcs", 8);
-  std::vector<T> result;
-  g.spawn("feed", stream::feed(std::vector<T>{a, b}, in));
-  g.spawn("rotg", core::rotg<T>(in, out));
-  g.spawn("collect", stream::collect<T>(4, out, result));
+  kinds::Fed<T> res;
+  kinds::build_fed<T>(g, RoutineKind::Rotg, {}, "rotg", {{a, b}}, res);
   run_graph(g);
-  a = result[0];
-  b = result[1];
-  return {result[2], result[3]};
+  const std::vector<T>& r = res.out[0];
+  a = r[0];
+  b = r[1];
+  return {r[2], r[3]};
 }
 
 template <typename T>
 ref::RotmParam<T> Context::rotmg(T& d1, T& d2, T& x1, T y1) {
   stream::Graph g(mode_);
-  auto& in = g.channel<T>("in", 4);
-  auto& out = g.channel<T>("out", 8);
-  std::vector<T> result;
-  g.spawn("feed", stream::feed(std::vector<T>{d1, d2, x1, y1}, in));
-  g.spawn("rotmg", core::rotmg<T>(in, out));
-  g.spawn("collect", stream::collect<T>(8, out, result));
+  kinds::Fed<T> res;
+  kinds::build_fed<T>(g, RoutineKind::Rotmg, {}, "rotmg", {{d1, d2, x1, y1}},
+                      res);
   run_graph(g);
-  d1 = result[5];
-  d2 = result[6];
-  x1 = result[7];
-  return {result[0], result[1], result[2], result[3], result[4]};
+  const std::vector<T>& r = res.out[0];
+  d1 = r[5];
+  d2 = r[6];
+  x1 = r[7];
+  return {r[0], r[1], r[2], r[3], r[4]};
 }
 
 template <typename T>
 Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                          Buffer<T>& y, std::int64_t incy, T c, T s) {
-  Command cmd;
-  cmd.label = "rot";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Rot,
+                                      {.n = n, .c = c, .s = s},
+                                      {{x, incx}, {y, incy}});
   cmd.reads = {&x, &y};
   cmd.writes = {&x, &y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy, c, s] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Rot, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-    auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("rot", core::rot<T>({W}, n, c, s, cx, cy, ox, oy));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
-                                               banks.at(x.bank())));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
-                                               banks.at(y.bank())));
-    run_graph(g);
-  };
-  cmd.fallback = [n, &x, incx, &y, incy, c, s] {
-    ref::rot(x.vec(n, incx), y.vec(n, incy), c, s);
-  };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::PairCheck>();
-    cmd.verify_prepare = [chk, n, &x, incx, &y, incy, c, s] {
-      *chk = verify::rot_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), c, s);
-    };
-    cmd.verify_check = [chk, n, &x, incx, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(chk->x, "rot(x)", x.cvec(n, incx), scale);
-      verify::check_sum<T>(chk->y, "rot(y)", y.cvec(n, incy), scale);
-    };
-  }
+  detail::verify_with<verify::PairCheck>(
+      *this, cmd,
+      [=, &x, &y] {
+        return verify::rot_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), c, s);
+      },
+      [=, &x, &y](const verify::PairCheck& chk, double scale) {
+        verify::check_sum<T>(chk.x, "rot(x)", x.cvec(n, incx), scale);
+        verify::check_sum<T>(chk.y, "rot(y)", y.cvec(n, incy), scale);
+      });
   return enqueue(std::move(cmd));
 }
 
@@ -109,112 +69,46 @@ template <typename T>
 Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy,
                           ref::RotmParam<T> p) {
-  Command cmd;
-  cmd.label = "rotm";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Rotm,
+                                      {.n = n, .param = p},
+                                      {{x, incx}, {y, incy}});
   cmd.reads = {&x, &y};
   cmd.writes = {&x, &y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy, p] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Rotm, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-    auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("rotm", core::rotm<T>({W}, n, p, cx, cy, ox, oy));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
-                                               banks.at(x.bank())));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
-                                               banks.at(y.bank())));
-    run_graph(g);
-  };
-  cmd.fallback = [n, &x, incx, &y, incy, p] {
-    ref::rotm(x.vec(n, incx), y.vec(n, incy), p);
-  };
   return enqueue(std::move(cmd));
 }
 
 template <typename T>
 Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy) {
-  Command cmd;
-  cmd.label = "swap";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Swap, {.n = n},
+                                      {{x, incx}, {y, incy}});
   cmd.reads = {&x, &y};
   cmd.writes = {&x, &y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Swap, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-    auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("swap", core::swap<T>({W}, n, cx, cy, ox, oy));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
-                                               banks.at(x.bank())));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
-                                               banks.at(y.bank())));
-    run_graph(g);
-  };
-  cmd.fallback = [n, &x, incx, &y, incy] {
-    ref::swap(x.vec(n, incx), y.vec(n, incy));
-  };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::PairCheck>();
-    cmd.verify_prepare = [chk, n, &x, incx, &y, incy] {
-      *chk = verify::swap_prepare<T>(x.cvec(n, incx), y.cvec(n, incy));
-    };
-    cmd.verify_check = [chk, n, &x, incx, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(chk->x, "swap(x)", x.cvec(n, incx), scale);
-      verify::check_sum<T>(chk->y, "swap(y)", y.cvec(n, incy), scale);
-    };
-  }
+  detail::verify_with<verify::PairCheck>(
+      *this, cmd,
+      [=, &x, &y] {
+        return verify::swap_prepare<T>(x.cvec(n, incx), y.cvec(n, incy));
+      },
+      [=, &x, &y](const verify::PairCheck& chk, double scale) {
+        verify::check_sum<T>(chk.x, "swap(x)", x.cvec(n, incx), scale);
+        verify::check_sum<T>(chk.y, "swap(y)", y.cvec(n, incy), scale);
+      });
   return enqueue(std::move(cmd));
 }
 
 template <typename T>
 Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
                           std::int64_t incx) {
-  Command cmd;
-  cmd.label = "scal";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Scal,
+                                      {.n = n, .alpha = alpha}, {{x, incx}});
   cmd.reads = {&x};
   cmd.writes = {&x};
-  cmd.work = [this, rc = cfg_, n, alpha, &x, incx] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Scal, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cin = g.channel<T>("x", detail::chan_cap(W));
-    auto& cout = g.channel<T>("out", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
-                                             banks.at(x.bank())));
-    g.spawn("scal", core::scal<T>({W}, n, alpha, cin, cout));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, cout,
-                                               banks.at(x.bank())));
-    run_graph(g);
-  };
-  cmd.fallback = [n, alpha, &x, incx] { ref::scal(alpha, x.vec(n, incx)); };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::ScalarCheck>();
-    cmd.verify_prepare = [chk, n, alpha, &x, incx] {
-      *chk = verify::scal_prepare<T>(alpha, x.cvec(n, incx));
-    };
-    cmd.verify_check = [chk, n, &x, incx,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(*chk, "scal", x.cvec(n, incx), scale);
-    };
-  }
+  detail::verify_with<verify::ScalarCheck>(
+      *this, cmd,
+      [=, &x] { return verify::scal_prepare<T>(alpha, x.cvec(n, incx)); },
+      [=, &x](const verify::ScalarCheck& chk, double scale) {
+        verify::check_sum<T>(chk, "scal", x.cvec(n, incx), scale);
+      });
   return enqueue(std::move(cmd));
 }
 
@@ -222,37 +116,15 @@ template <typename T>
 Event Context::copy_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd;
-  cmd.label = "copy";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Copy, {.n = n},
+                                      {{x, incx}, {y, incy}});
   cmd.reads = {&x};
   cmd.writes = {&y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Copy, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cin = g.channel<T>("x", detail::chan_cap(W));
-    auto& cout = g.channel<T>("out", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
-                                             banks.at(x.bank())));
-    g.spawn("copy", core::copy<T>({W}, n, cin, cout));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
-                                               banks.at(y.bank())));
-    run_graph(g);
-  };
-  cmd.fallback = [n, &x, incx, &y, incy] {
-    ref::copy(x.cvec(n, incx), y.vec(n, incy));
-  };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::ScalarCheck>();
-    cmd.verify_prepare = [chk, n, &x, incx] {
-      *chk = verify::copy_prepare<T>(x.cvec(n, incx));
-    };
-    cmd.verify_check = [chk, n, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(*chk, "copy", y.cvec(n, incy), scale);
-    };
-  }
+  detail::verify_with<verify::ScalarCheck>(
+      *this, cmd, [=, &x] { return verify::copy_prepare<T>(x.cvec(n, incx)); },
+      [=, &y](const verify::ScalarCheck& chk, double scale) {
+        verify::check_sum<T>(chk, "copy", y.cvec(n, incy), scale);
+      });
   return enqueue(std::move(cmd));
 }
 
@@ -260,40 +132,20 @@ template <typename T>
 Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd;
-  cmd.label = "axpy";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Axpy,
+                                      {.n = n, .alpha = alpha},
+                                      {{x, incx}, {y, incy}});
   cmd.reads = {&x, &y};
   cmd.writes = {&y};
-  cmd.work = [this, rc = cfg_, n, alpha, &x, incx, &y, incy] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Axpy, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& cout = g.channel<T>("out", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("axpy", core::axpy<T>({W}, n, alpha, cx, cy, cout));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
-                                               banks.at(y.bank())));
-    run_graph(g);
-  };
-  cmd.fallback = [n, alpha, &x, incx, &y, incy] {
-    ref::axpy(alpha, x.cvec(n, incx), y.vec(n, incy));
-  };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::ScalarCheck>();
-    cmd.verify_prepare = [chk, n, alpha, &x, incx, &y, incy] {
-      *chk = verify::axpy_prepare<T>(alpha, x.cvec(n, incx), y.cvec(n, incy));
-    };
-    cmd.verify_check = [chk, n, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(*chk, "axpy", y.cvec(n, incy), scale);
-    };
-  }
+  detail::verify_with<verify::ScalarCheck>(
+      *this, cmd,
+      [=, &x, &y] {
+        return verify::axpy_prepare<T>(alpha, x.cvec(n, incx),
+                                       y.cvec(n, incy));
+      },
+      [=, &y](const verify::ScalarCheck& chk, double scale) {
+        verify::check_sum<T>(chk, "axpy", y.cvec(n, incy), scale);
+      });
   return enqueue(std::move(cmd));
 }
 
@@ -301,167 +153,65 @@ template <typename T>
 Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
                          std::int64_t incx, const Buffer<T>& y,
                          std::int64_t incy, T* result) {
-  Command cmd;
-  cmd.label = "dot";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Dot, {.n = n},
+                                      {{x, incx}, {y, incy}, {result}});
   cmd.reads = {&x, &y};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Dot, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& res = g.channel<T>("res", 2);
-    std::vector<T> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("dot", core::dot<T>({W}, n, cx, cy, res));
-    g.spawn("collect", stream::collect<T>(1, res, out));
-    run_graph(g);
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, &y, incy, result] {
-    *result = ref::dot(x.cvec(n, incx), y.cvec(n, incy));
-  };
-  if (cfg_.verification.enabled()) {
-    // Single-phase: the inputs are untouched, so the checker recomputes
-    // the reduction in double after the fact — no prepare pass needed.
-    cmd.verify_check = [n, &x, incx, &y, incy, result,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::dot_check<T>(x.cvec(n, incx), y.cvec(n, incy), *result, scale);
-    };
-  }
+  // Single-phase: the inputs are untouched, so the checker recomputes the
+  // reduction in double after the fact — no prepare pass needed.
+  detail::verify_with(*this, cmd, [=, &x, &y](double scale) {
+    verify::dot_check<T>(x.cvec(n, incx), y.cvec(n, incy), *result, scale);
+  });
   return enqueue(std::move(cmd));
 }
 
 Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
                             std::int64_t incx, const Buffer<float>& y,
                             std::int64_t incy, float* result) {
-  Command cmd;
-  cmd.label = "sdsdot";
+  Command cmd = detail::lower_call<float>(*this, RoutineKind::Sdsdot,
+                                          {.n = n, .alpha = sb},
+                                          {{x, incx}, {y, incy}, {result}});
   cmd.reads = {&x, &y};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, sb, &x, incx, &y, incy, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<float>(RoutineKind::Sdsdot, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<float>("x", detail::chan_cap(W));
-    auto& cy = g.channel<float>("y", detail::chan_cap(W));
-    auto& res = g.channel<float>("res", 2);
-    std::vector<float> out;
-    g.spawn("read_x", stream::read_vector<float>(x.cvec(n, incx), 1, W, cx,
-                                                 banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<float>(y.cvec(n, incy), 1, W, cy,
-                                                 banks.at(y.bank())));
-    g.spawn("sdsdot", core::sdsdot({W}, n, sb, cx, cy, res));
-    g.spawn("collect", stream::collect<float>(1, res, out));
-    run_graph(g);
-    *result = out[0];
-  };
-  cmd.fallback = [n, sb, &x, incx, &y, incy, result] {
-    *result = ref::sdsdot(sb, x.cvec(n, incx), y.cvec(n, incy));
-  };
   return enqueue(std::move(cmd));
 }
 
 template <typename T>
 Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd;
-  cmd.label = "nrm2";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Nrm2, {.n = n},
+                                      {{x, incx}, {result}});
   cmd.reads = {&x};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Nrm2, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& res = g.channel<T>("res", 2);
-    std::vector<T> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("nrm2", core::nrm2<T>({W}, n, cx, res));
-    g.spawn("collect", stream::collect<T>(1, res, out));
-    run_graph(g);
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, result] { *result = ref::nrm2(x.cvec(n, incx)); };
-  if (cfg_.verification.enabled()) {
-    cmd.verify_check = [n, &x, incx, result,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::nrm2_check<T>(x.cvec(n, incx), *result, scale);
-    };
-  }
+  detail::verify_with(*this, cmd, [=, &x](double scale) {
+    verify::nrm2_check<T>(x.cvec(n, incx), *result, scale);
+  });
   return enqueue(std::move(cmd));
 }
 
 template <typename T>
 Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd;
-  cmd.label = "asum";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Asum, {.n = n},
+                                      {{x, incx}, {result}});
   cmd.reads = {&x};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Asum, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& res = g.channel<T>("res", 2);
-    std::vector<T> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("asum", core::asum<T>({W}, n, cx, res));
-    g.spawn("collect", stream::collect<T>(1, res, out));
-    run_graph(g);
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, result] { *result = ref::asum(x.cvec(n, incx)); };
-  if (cfg_.verification.enabled()) {
-    cmd.verify_check = [n, &x, incx, result,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::asum_check<T>(x.cvec(n, incx), *result, scale);
-    };
-  }
+  detail::verify_with(*this, cmd, [=, &x](double scale) {
+    verify::asum_check<T>(x.cvec(n, incx), *result, scale);
+  });
   return enqueue(std::move(cmd));
 }
 
 template <typename T>
 Event Context::iamax_async(std::int64_t n, const Buffer<T>& x,
                            std::int64_t incx, std::int64_t* result) {
-  Command cmd;
-  cmd.label = "iamax";
+  Command cmd = detail::lower_call<T>(*this, RoutineKind::Iamax, {.n = n},
+                                      {{x, incx}, {result}});
   cmd.reads = {&x};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Iamax, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& res = g.channel<std::int64_t>("res", 2);
-    std::vector<std::int64_t> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("iamax", core::iamax<T>({W}, n, cx, res));
-    g.spawn("collect", stream::collect<std::int64_t>(1, res, out));
-    run_graph(g);
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, result] {
-    *result = ref::iamax(x.cvec(n, incx));
-  };
-  if (cfg_.verification.enabled()) {
-    cmd.verify_check = [n, &x, incx, result] {
-      verify::iamax_check<T>(x.cvec(n, incx), *result);
-    };
-  }
+  detail::verify_with(*this, cmd, [=, &x](double) {
+    verify::iamax_check<T>(x.cvec(n, incx), *result);
+  });
   return enqueue(std::move(cmd));
 }
 

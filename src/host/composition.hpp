@@ -29,8 +29,8 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "host/buffer.hpp"
-#include "mdag/checksum.hpp"
 #include "mdag/compile.hpp"
+#include "verify/graph_checker.hpp"
 
 namespace fblas::host {
 
@@ -194,8 +194,8 @@ class Composition {
   const Binding& binding(int node) const {
     return bind_[static_cast<std::size_t>(node)];
   }
-  /// Exact-precision coefficients for module instantiation (the double
-  /// mirrors in NodeSemantics feed the checksum rules only).
+  /// The coefficients, in the composition's own precision (the modules,
+  /// the fallback and the prediction pass all read these).
   T alpha_of(int node) const { return alpha_[static_cast<std::size_t>(node)]; }
   T beta_of(int node) const { return beta_[static_cast<std::size_t>(node)]; }
   std::int64_t max_channel_depth() const { return max_channel_depth_; }
@@ -222,10 +222,7 @@ class Composition {
     beta_.push_back(T(0));
   }
   void append_compute(T alpha, T beta) {
-    mdag::NodeSemantics s;
-    s.alpha = static_cast<double>(alpha);
-    s.beta = static_cast<double>(beta);
-    sem_.push_back(std::move(s));
+    sem_.emplace_back();
     bind_.push_back(Binding{});
     alpha_.push_back(alpha);
     beta_.push_back(beta);
@@ -245,10 +242,10 @@ class Composition {
 struct CompositionPredictions {
   /// Per compiled component, the predicted checksum of every tapped
   /// channel, parallel to mdag::Compiled::channels[c].
-  std::vector<std::vector<mdag::EdgeChecksum>> taps;
+  std::vector<std::vector<verify::EdgeChecksum>> taps;
   /// Per buffer writer (node id), the predicted checksum of the
   /// materialized output (catches corruption past the last FIFO tap).
-  std::vector<std::pair<int, mdag::EdgeChecksum>> audits;
+  std::vector<std::pair<int, verify::EdgeChecksum>> audits;
 };
 
 /// The prediction pass of a verified composition: every edge replayed

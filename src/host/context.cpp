@@ -504,10 +504,6 @@ Device& Context::attempt_device() {
   return (tl_scope.active && tl_scope.dev != nullptr) ? *tl_scope.dev : *dev_;
 }
 
-double Context::bank_bytes_per_cycle(double freq_mhz) const {
-  return dev_->spec().bank_bandwidth_gbs * 1e9 / (freq_mhz * 1e6);
-}
-
 bool Context::pe_fault_draw(std::uint64_t* seq, int* attempt) {
   if (!tl_scope.active || !tl_scope.pe_fault_pending) return false;
   *seq = tl_scope.pe_fault_seq;

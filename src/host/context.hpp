@@ -642,9 +642,6 @@ class Context {
   static void pe_fault_fired();
   void store_grid_report(const systolic::AbftReport& report);
 
-  /// Per-cycle byte budget of one DDR bank at the given clock.
-  double bank_bytes_per_cycle(double freq_mhz) const;
-
   /// Wraps the single-device constructor's board in a pool of one, so
   /// pool_ is never null and both constructors share one runtime path.
   std::unique_ptr<DevicePool> pool_owned_;

@@ -14,20 +14,6 @@ namespace {
 /// Smallest FIFO an unpinned edge channel gets.
 constexpr std::int64_t kMinEdgeDepth = 16;
 
-bool supported_compute(RoutineKind k) {
-  switch (k) {
-    case RoutineKind::Gemv:
-    case RoutineKind::Ger:
-    case RoutineKind::Trsv:
-    case RoutineKind::Axpy:
-    case RoutineKind::Scal:
-    case RoutineKind::Dot:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::int64_t per_pass(const StreamSig& s) {
   return s.repeat > 0 ? s.count / s.repeat : s.count;
 }
@@ -124,28 +110,20 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     const auto ins = cp.in_edges(g, u);
     const auto outs = cp.out_edges(g, u);
     if (node.type == NodeType::Compute) {
-      if (!supported_compute(node.kind)) {
+      const RoutineInfo& info = routine_info(node.kind);
+      if (!info.composable) {
         throw ConfigError("compile: node '" + node.name + "' uses " +
-                          std::string(routine_info(node.kind).name) +
+                          std::string(info.name) +
                           ", which has no streaming-composition lowering");
       }
       if (outs.size() == 0) {
         throw ConfigError("compile: compute node '" + node.name +
                           "' has no output edge");
       }
-      std::size_t want_min = 0, want_max = 0;
-      switch (node.kind) {
-        case RoutineKind::Gemv: want_min = 2; want_max = 3; break;
-        case RoutineKind::Ger: want_min = want_max = 3; break;
-        case RoutineKind::Trsv: want_min = want_max = 2; break;
-        case RoutineKind::Axpy:
-        case RoutineKind::Dot: want_min = want_max = 2; break;
-        case RoutineKind::Scal: want_min = want_max = 1; break;
-        default: break;
-      }
-      if (ins.size() < want_min || ins.size() > want_max) {
+      const auto n_in = static_cast<int>(ins.size());
+      if (n_in < info.min_inputs || n_in > info.inputs) {
         throw ConfigError("compile: node '" + node.name + "' (" +
-                          std::string(routine_info(node.kind).name) + ") has " +
+                          std::string(info.name) + ") has " +
                           std::to_string(ins.size()) + " input edges");
       }
     } else if (s.is_output) {
@@ -359,13 +337,15 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     }
   }
 
+  // A compute node given fewer in-edges than its module has input ports
+  // (GEMV without y0) reads a synthesized zero stream on the last one.
   for (int u = 0; u < nn; ++u) {
     const Node& node = g.node(u);
-    if (node.type != NodeType::Compute || node.kind != RoutineKind::Gemv) {
+    if (node.type != NodeType::Compute ||
+        static_cast<int>(cp.in_edges(g, u).size()) ==
+            routine_info(node.kind).inputs) {
       continue;
     }
-    const auto ins = cp.in_edges(g, u);
-    if (ins.size() != 2) continue;
     const Edge& out = g.edge(cp.out_edges(g, u)[0]);
     cp.zero_nodes.push_back(u);
     cp.zero_name.push_back(

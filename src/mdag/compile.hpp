@@ -57,8 +57,6 @@ struct NodeSemantics {
   Transpose trans = Transpose::None;
   Uplo uplo = Uplo::Lower;
   Diag diag = Diag::NonUnit;
-  double alpha = 1.0;  ///< GEMV/GER/AXPY/SCAL coefficient
-  double beta = 0.0;   ///< GEMV y0 coefficient (forced 0 when y0 is synthesized)
 };
 
 struct CompileOptions {

@@ -78,9 +78,8 @@ class ChannelBase {
   /// Arms a running checksum over every floating-point value pushed into
   /// this channel: sum, magnitude (sum of absolute values) and element
   /// count. With `weights` set, the k-th pushed value is weighted by
-  /// weights[k % weights.size()] — the Huang–Abraham weighted checksum a
-  /// GEMV propagation rule calls for. The weights vector must outlive
-  /// the run (verify::GraphChecker owns it). Costs nothing unless armed.
+  /// weights[k % weights.size()] — a Huang–Abraham weighted checksum.
+  /// The weights vector must outlive the run. Costs nothing unless armed.
   void arm_tap(const std::vector<double>* weights = nullptr) {
     tap_armed_ = true;
     tap_weights_ =

@@ -30,11 +30,24 @@
 #include <string>
 #include <vector>
 
-#include "mdag/checksum.hpp"
 #include "stream/graph.hpp"
 #include "verify/policy.hpp"
 
 namespace fblas::verify {
+
+/// Predicted checksum of one stream: the sum of its values, the matching
+/// magnitude sum (what the error bound is relative to) and the
+/// accumulation length the bound grows with. Computed in double
+/// regardless of the stream precision, so the prediction's own rounding
+/// stays negligible next to the bound.
+struct EdgeChecksum {
+  double pred = 0.0;
+  double mag = 0.0;
+  std::int64_t terms = 0;
+};
+
+/// The prediction for a zero-generator stream of n elements: exactly 0.
+inline EdgeChecksum zero_checksum(std::int64_t n) { return {0.0, 0.0, n}; }
 
 class GraphChecker {
  public:
@@ -48,10 +61,8 @@ class GraphChecker {
   /// checksum. Declare edges in topological order: check() reports the
   /// first divergent one. `eps` is the unit roundoff of the stream's
   /// element type (std::numeric_limits<T>::epsilon()), which the
-  /// acceptance bound grows from. Optional `weights` switch the edge's
-  /// tap (and its prediction) to a weighted checksum.
-  void expect(std::string channel, mdag::EdgeChecksum pred, double eps,
-              std::vector<double> weights = {});
+  /// acceptance bound grows from.
+  void expect(std::string channel, EdgeChecksum pred, double eps);
 
   /// Arms a checksum tap on every expected channel of `g`. Unknown
   /// channel names are a caller bug and throw ConfigError.
@@ -72,9 +83,8 @@ class GraphChecker {
  private:
   struct Edge {
     std::string channel;
-    mdag::EdgeChecksum pred;
+    EdgeChecksum pred;
     double eps = 0.0;
-    std::vector<double> weights;
     bool captured = false;
     double got = 0.0;
     double got_mag = 0.0;

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -278,6 +279,27 @@ TEST(ComposeGolden, GemverParityPlanAndCycles) {
            {64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 0, 0, 64, 64}, 8241);
 }
 
+/// FNV-1a over every (pred, mag, terms) of a prediction set: the taps of
+/// each component in tap order, then the writer audits.
+std::uint64_t prediction_hash(const host::CompositionPredictions& p) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](const auto& c) {
+    h = fnv1a(&c.pred, sizeof c.pred, h);
+    h = fnv1a(&c.mag, sizeof c.mag, h);
+    h = fnv1a(&c.terms, sizeof c.terms, h);
+  };
+  for (const auto& component : p.taps) {
+    const std::uint64_t n = component.size();
+    h = fnv1a(&n, sizeof n, h);
+    for (const auto& c : component) add(c);
+  }
+  for (const auto& [node, c] : p.audits) {
+    h = fnv1a(&node, sizeof node, h);
+    add(c);
+  }
+  return h;
+}
+
 TEST(ComposeGolden, PredictionBits) {
   // Every (pred, mag, terms) a verified run of the five apps is checked
   // against, at the parity shapes above: the channel taps of each
@@ -285,27 +307,9 @@ TEST(ComposeGolden, PredictionBits) {
   // prediction pass that still copied every reader edge and replayed
   // the transposed GEMV column by column; restructuring the pass must
   // not move a bit.
-  const auto hash = [](const host::CompositionPredictions& p) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto add = [&h](const mdag::EdgeChecksum& c) {
-      h = fnv1a(&c.pred, sizeof c.pred, h);
-      h = fnv1a(&c.mag, sizeof c.mag, h);
-      h = fnv1a(&c.terms, sizeof c.terms, h);
-    };
-    for (const auto& component : p.taps) {
-      const std::uint64_t n = component.size();
-      h = fnv1a(&n, sizeof n, h);
-      for (const auto& c : component) add(c);
-    }
-    for (const auto& [node, c] : p.audits) {
-      h = fnv1a(&node, sizeof node, h);
-      add(c);
-    }
-    return h;
-  };
   const auto predicted = [&](ParityBoard& b,
                              const host::Composition<float>& c) {
-    return hash(host::predict_checksums(c, b.compile(c)));
+    return prediction_hash(host::predict_checksums(c, b.compile(c)));
   };
   const std::int64_t n = 256;
   const std::vector<float> zn(static_cast<std::size_t>(n));
@@ -376,6 +380,58 @@ TEST(ComposeGolden, PredictionBits) {
               0xeb8157c0a63c0d4aull)
         << "GEMVER";
   }
+}
+
+TEST(ComposeGolden, TrsvPredictionBits) {
+  // The prediction of a one-TRSV composition, every uplo/trans/diag
+  // variant, with b read straight from DRAM and with b scaled on the way
+  // in (a SCAL between the reader and the solver).
+  constexpr std::int64_t n = 45;
+  std::vector<std::string> got;
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        for (const bool scaled : {false, true}) {
+          Workload wl(20);
+          ParityBoard b;
+          auto a = b.upload(wl.triangular<float>(n, uplo, diag), 0);
+          auto bv = b.upload(wl.vector<float>(n), 1);
+          auto x = b.upload(std::vector<float>(n), 2);
+          host::Composition<float> c("trsv");
+          const int ra = c.input_triangular("read_A", a, uplo, trans);
+          const int rb = c.input("read_b", bv);
+          const int wx = c.output("write_x", x);
+          const int tr = c.trsv("trsv", uplo, trans, diag);
+          c.connect(ra, tr, mdag::StreamSig::vec(n * (n + 1) / 2));
+          if (scaled) {
+            const int sc = c.scal("scal", -1.25f);
+            c.connect(rb, sc, mdag::StreamSig::vec(n));
+            c.connect(sc, tr, mdag::StreamSig::vec(n));
+          } else {
+            c.connect(rb, tr, mdag::StreamSig::vec(n));
+          }
+          c.connect(tr, wx, mdag::StreamSig::vec(n));
+          std::ostringstream os;
+          os << std::hex
+             << prediction_hash(host::predict_checksums(c, b.compile(c)));
+          got.push_back(os.str());
+        }
+      }
+    }
+  }
+  // Per variant (LNN, LNU, LTN, LTU, UNN, UNU, UTN, UTU): b from DRAM,
+  // then b through SCAL.
+  const std::vector<std::string> want = {
+      "27c908b15dbb8244", "25e02c4ffceea6c8",
+      "bed966838732240", "4e4f156acf6664b3",
+      "9c21f810406098e8", "e486113c065f2de8",
+      "8867ec0032f978ac", "ee317134ef38e56f",
+      "5be775b25e148b9f", "224946ea38417613",
+      "4d52104594048bdb", "9c911908775209c8",
+      "8b840a34e3b3dbe7", "e64d51cbf8934563",
+      "2a06ab494ee686f", "ffc898bef2b8d704",
+  };
+  EXPECT_EQ(got, want);
 }
 
 // --- Pinned channel depths --------------------------------------------------

@@ -3,6 +3,7 @@
 // BLAS; device/buffer semantics; sync/async queue behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -72,6 +73,42 @@ TEST(AsyncQueue, FinishDrainsInOrder) {
   ctx.scal_async<float>(16, 3.0f, x, 1);
   ctx.finish();
   EXPECT_FLOAT_EQ(x.to_host()[0], 6.0f);
+}
+
+TEST(AsyncQueue, BadOperandThrowsAtTheCallAndQueuesNothing) {
+  // A bad stride or an operand view past its buffer is rejected by the
+  // call itself, naming the routine and the operand, before any command
+  // (and so before any verification prepare pass) is queued.
+  Device dev;
+  Context ctx(dev);
+  ctx.config().verification = verify::Options::always();
+  const auto rec = ctx.tracing();
+  Workload wl(502);
+  auto x = make_buffer(dev, wl.vector<float>(64));
+  auto y = make_buffer(dev, wl.vector<float>(64), 1);
+  auto a = make_buffer(dev, wl.matrix<float>(8, 8), 2);
+  const auto message = [](auto&& call) {
+    try {
+      call();
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no ConfigError");
+  };
+  const std::string axpy = message(
+      [&] { ctx.axpy_async<float>(64, 2.0f, x, 0, y, 1); });
+  EXPECT_NE(axpy.find("axpy"), std::string::npos) << axpy;
+  EXPECT_NE(axpy.find("operand x"), std::string::npos) << axpy;
+  const std::string gemv = message([&] {
+    ctx.gemv_async<float>(Transpose::None, 9, 8, 1.0f, a, x, 1, 0.0f, y, 1);
+  });
+  EXPECT_NE(gemv.find("gemv"), std::string::npos) << gemv;
+  EXPECT_NE(gemv.find("operand A"), std::string::npos) << gemv;
+  EXPECT_TRUE(ctx.idle());
+  ctx.finish();
+  EXPECT_EQ(rec->metrics().enqueued, 0u);
+  EXPECT_EQ(ctx.exec_stats().executed, 0u);
+  EXPECT_EQ(ctx.exec_stats().verified, 0u);
 }
 
 template <typename T>

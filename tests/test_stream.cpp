@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -11,14 +13,20 @@
 #include <tuple>
 #include <vector>
 
+#include "codegen/routine_spec.hpp"
+#include "codegen/runner.hpp"
 #include "common/workload.hpp"
 #include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
+#include "host/buffer.hpp"
+#include "host/context.hpp"
 #include "host/detail.hpp"
+#include "host/kinds.hpp"
 #include "host/device.hpp"
 #include "sim/frequency_model.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
+#include "trace/trace.hpp"
 
 namespace fblas::stream {
 namespace {
@@ -1905,36 +1913,34 @@ std::vector<DramBank*> board_banks(Graph& g, const host::Device& dev,
   return banks;
 }
 
-/// The GEMV graph a host-API call lowers to, at perfbench cg_solve's
-/// shape: 512^2, W=16, 128^2 tiles, A / x / y on banks 0 / 1 / 2.
+/// The GEMV graph a host-API call lowers to (the shared single-call
+/// builder), at perfbench cg_solve's shape: 512^2, W=16, 128^2 tiles,
+/// A / x / y on banks 0 / 1 / 2.
 Observed run_board_gemv(Transpose trans, core::MatrixTiling tiling) {
   constexpr std::int64_t n = 512;
-  constexpr int w = 16;
-  const host::Device dev(sim::DeviceId::Stratix10);
-  const auto a = Workload(51).matrix<float>(n, n);
-  const auto x = Workload(52).vector<float>(n);
-  std::vector<float> y = Workload(53).vector<float>(n);
+  host::Device dev(sim::DeviceId::Stratix10);
+  host::Buffer<float> a(dev, n * n, 0), x(dev, n, 1), y(dev, n, 2);
+  a.write(Workload(51).matrix<float>(n, n));
+  x.write(Workload(52).vector<float>(n));
+  y.write(Workload(53).vector<float>(n));
   Graph g(Mode::Cycle);
-  const auto banks = board_banks(g, dev, RoutineKind::Gemv);
-  const core::GemvConfig cfg{trans, tiling, w, 128, 128};
-  const std::size_t cap = host::detail::chan_cap(w);
-  auto& ca = g.channel<float>("A", cap);
-  auto& cx = g.channel<float>("x", cap);
-  auto& cy = g.channel<float>("y", cap);
-  auto& out = g.channel<float>("out", cap);
-  g.spawn("read_A",
-          read_matrix<float>(MatrixView<const float>(a.data(), n, n),
-                             core::gemv_a_schedule(cfg), 1, w, ca, banks[0]));
-  g.spawn("read_x",
-          read_vector<float>(VectorView<const float>(x.data(), n),
-                             core::gemv_x_repeat(cfg, n, n), w, cx, banks[1]));
-  g.spawn("read_y", read_vector<float>(VectorView<const float>(y.data(), n),
-                                       1, w, cy, banks[2]));
-  g.spawn("gemv", core::gemv<float>(cfg, n, n, 1.25f, -0.5f, ca, cx, cy, out));
-  g.spawn("write_y",
-          write_vector<float>(VectorView<float>(y.data(), n), 1, w, out,
-                              banks[2]));
-  return observe(g, banks, {&y}, {}, false);
+  host::detail::BankSet set(
+      g, dev,
+      sim::module_frequency(RoutineKind::Gemv, Precision::Single, dev.spec())
+          .mhz);
+  std::vector<DramBank*> banks;
+  for (int b = 0; b < dev.bank_count(); ++b) banks.push_back(set.at(b));
+  host::kinds::Call<float> c{
+      .rows = n, .cols = n, .alpha = 1.25f, .beta = -0.5f, .trans = trans};
+  c.width = 16;
+  c.tiling = tiling;
+  c.tile_rows = c.tile_cols = 128;
+  host::detail::Results<float> res;
+  host::detail::build_call<float>(g, set, RoutineKind::Gemv, c,
+                                  {{a}, {x, 1}, {y, 1}}, res);
+  Observed o = observe(g, banks, {}, {}, false);
+  for (const float v : y.to_host()) o.out_bits.push_back(bits_of(v));
+  return o;
 }
 
 TEST(StreamGolden, BoardGemvBranches) {
@@ -2090,6 +2096,649 @@ TEST(StreamGolden, SeededRandomGraphs) {
   for (std::size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k], want[k]) << "graph " << k;
   }
+}
+
+
+// ---- Host routine pins ----------------------------------------------------
+//
+// Every Level-1/2 host routine as a user calls it: the graph the host API
+// builds, run through Context::run_graph with engine tracing on. Each line
+// pins the command's cycles, the GraphStats event (cycles / module-cycles
+// stalled), every ChannelStats event (name, peak, stalls, capacity) folded
+// into one hash, and the output bits. Recorded before the routines were
+// lowered through the per-kind module table.
+
+template <typename T>
+std::uint64_t word_of(T v) {
+  if constexpr (sizeof(T) == 4) {
+    return std::bit_cast<std::uint32_t>(v);
+  } else {
+    return std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+/// One host routine call: runs it on `ctx` and returns its output words.
+template <typename T>
+struct HostCase {
+  std::string name;
+  std::function<std::vector<std::uint64_t>(host::Context&, host::Device&)>
+      run;
+};
+
+template <typename T>
+std::vector<std::uint64_t> words(const std::vector<T>& v) {
+  std::vector<std::uint64_t> w;
+  for (const T x : v) w.push_back(word_of(x));
+  return w;
+}
+
+template <typename T>
+std::vector<HostCase<T>> host_cases() {
+  using host::Buffer;
+  using host::Context;
+  using host::Device;
+  std::vector<HostCase<T>> cs;
+  constexpr std::int64_t n = 100;
+  // Two stride variants of every vector routine: unit, and x/y at 2/3.
+  for (const std::int64_t ix : {1, 2}) {
+    const std::int64_t iy = ix == 1 ? 1 : 3;
+    const std::string sfx = ix == 1 ? "/unit" : "/strided";
+    const auto vec = [](Device& dev, std::uint64_t seed, std::int64_t len,
+                        int bank) {
+      auto b = std::make_unique<Buffer<T>>(dev, len, bank);
+      b->write(Workload(seed).vector<T>(len));
+      return b;
+    };
+    const auto pair_case = [&](std::string name, auto call) {
+      cs.push_back({name + sfx, [=](Context& ctx, Device& dev) {
+                      auto x = vec(dev, 61, n * ix, 0);
+                      auto y = vec(dev, 62, n * iy, 1);
+                      call(ctx, *x, *y, ix, iy);
+                      auto w = words(x->to_host());
+                      const auto wy = words(y->to_host());
+                      w.insert(w.end(), wy.begin(), wy.end());
+                      return w;
+                    }});
+    };
+    pair_case("rot", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                        std::int64_t a, std::int64_t b) {
+      ctx.rot(n, x, a, y, b, T(0.6), T(0.8));
+    });
+    pair_case("rotm", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                         std::int64_t a, std::int64_t b) {
+      ctx.rotm(n, x, a, y, b,
+               ref::RotmParam<T>{T(-1), T(0.5), T(-0.25), T(0.75), T(1.5)});
+    });
+    pair_case("swap", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                         std::int64_t a, std::int64_t b) {
+      ctx.swap(n, x, a, y, b);
+    });
+    pair_case("scal", [](Context& ctx, Buffer<T>& x, Buffer<T>&,
+                         std::int64_t a, std::int64_t) {
+      ctx.scal(n, T(-1.75), x, a);
+    });
+    pair_case("copy", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                         std::int64_t a, std::int64_t b) {
+      ctx.copy(n, x, a, y, b);
+    });
+    pair_case("axpy", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                         std::int64_t a, std::int64_t b) {
+      ctx.axpy(n, T(0.375), x, a, y, b);
+    });
+    const auto scalar_case = [&](std::string name, auto call) {
+      cs.push_back({name + sfx, [=](Context& ctx, Device& dev) {
+                      auto x = vec(dev, 63, n * ix, 2);
+                      auto y = vec(dev, 64, n * iy, 3);
+                      return std::vector<std::uint64_t>{
+                          call(ctx, *x, *y, ix, iy)};
+                    }});
+    };
+    scalar_case("dot", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                          std::int64_t a, std::int64_t b) {
+      return word_of(ctx.dot(n, x, a, y, b));
+    });
+    if constexpr (std::is_same_v<T, float>) {
+      scalar_case("sdsdot", [](Context& ctx, Buffer<T>& x, Buffer<T>& y,
+                               std::int64_t a, std::int64_t b) {
+        return word_of(ctx.sdsdot(n, 0.125f, x, a, y, b));
+      });
+    }
+    scalar_case("nrm2", [](Context& ctx, Buffer<T>& x, Buffer<T>&,
+                           std::int64_t a, std::int64_t) {
+      return word_of(ctx.nrm2(n, x, a));
+    });
+    scalar_case("asum", [](Context& ctx, Buffer<T>& x, Buffer<T>&,
+                           std::int64_t a, std::int64_t) {
+      return word_of(ctx.asum(n, x, a));
+    });
+    scalar_case("iamax", [](Context& ctx, Buffer<T>& x, Buffer<T>&,
+                            std::int64_t a, std::int64_t) {
+      return static_cast<std::uint64_t>(ctx.iamax(n, x, a));
+    });
+  }
+  cs.push_back({"rotg", [](Context& ctx, Device&) {
+                  T a = T(3), b = T(-4);
+                  const auto gv = ctx.rotg(a, b);
+                  return words(std::vector<T>{a, b, gv.c, gv.s});
+                }});
+  cs.push_back({"rotmg", [](Context& ctx, Device&) {
+                  T d1 = T(1.5), d2 = T(0.5), x1 = T(2);
+                  const auto p = ctx.rotmg(d1, d2, x1, T(1));
+                  return words(std::vector<T>{p.flag, p.h11, p.h21, p.h12,
+                                              p.h22, d1, d2, x1});
+                }});
+
+  // Level 2 on 32 x 32 tiles, shapes ragged against the tiles and W.
+  constexpr std::int64_t rows = 70, cols = 50;
+  const auto level2 = [&](std::string name, core::MatrixTiling tiling,
+                          auto call) {
+    cs.push_back({name, [=](Context& ctx, Device& dev) {
+                    ctx.config().tile_rows = ctx.config().tile_cols = 32;
+                    ctx.config().tiling = tiling;
+                    return call(ctx, dev);
+                  }});
+  };
+  const auto load = [](Device& dev, std::vector<T> host, int bank) {
+    auto b = std::make_unique<Buffer<T>>(
+        dev, static_cast<std::int64_t>(host.size()), bank);
+    b->write(host);
+    return b;
+  };
+  for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+    for (const auto tiling : {core::MatrixTiling::TilesByRows,
+                              core::MatrixTiling::TilesByCols}) {
+      for (const std::int64_t inc : {1, 2}) {
+        if (inc == 2 && (trans != Transpose::None ||
+                         tiling != core::MatrixTiling::TilesByRows)) {
+          continue;
+        }
+        const std::string name =
+            std::string("gemv/") + (trans == Transpose::None ? "N" : "T") +
+            (tiling == core::MatrixTiling::TilesByRows ? "/rows" : "/cols") +
+            (inc == 1 ? "" : "/strided");
+        level2(name, tiling, [=](Context& ctx, Device& dev) {
+          const std::int64_t xl = trans == Transpose::None ? cols : rows;
+          const std::int64_t yl = trans == Transpose::None ? rows : cols;
+          auto a = load(dev, Workload(65).matrix<T>(rows, cols), 0);
+          auto x = load(dev, Workload(66).vector<T>(xl * inc), 1);
+          auto y = load(dev, Workload(67).vector<T>(yl * (inc + 1)), 2);
+          ctx.gemv(trans, rows, cols, T(1.25), *a, *x, inc, T(-0.5), *y,
+                   inc + 1);
+          return words(y->to_host());
+        });
+      }
+    }
+  }
+  constexpr std::int64_t tn = 40;
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        for (const std::int64_t inc : {1, 2}) {
+          if (inc == 2 && (uplo != Uplo::Upper || trans != Transpose::Trans ||
+                           diag != Diag::NonUnit)) {
+            continue;
+          }
+          const std::string name =
+              std::string("trsv/") + (uplo == Uplo::Lower ? "L" : "U") +
+              (trans == Transpose::None ? "N" : "T") +
+              (diag == Diag::Unit ? "U" : "N") + (inc == 1 ? "" : "/strided");
+          level2(name, core::MatrixTiling::TilesByRows,
+                 [=](Context& ctx, Device& dev) {
+                   auto a = load(
+                       dev, Workload(68).triangular<T>(tn, uplo, diag), 0);
+                   auto x = load(dev, Workload(69).vector<T>(tn * inc), 1);
+                   ctx.trsv(uplo, trans, diag, tn, *a, *x, inc);
+                   return words(x->to_host());
+                 });
+        }
+      }
+    }
+  }
+  for (const std::int64_t inc : {1, 2}) {
+    const std::string sfx = inc == 1 ? "" : "/strided";
+    level2("ger" + sfx, core::MatrixTiling::TilesByRows,
+           [=](Context& ctx, Device& dev) {
+             auto x = load(dev, Workload(70).vector<T>(rows * inc), 1);
+             auto y = load(dev, Workload(71).vector<T>(cols * (inc + 1)), 2);
+             auto a = load(dev, Workload(72).matrix<T>(rows, cols), 0);
+             ctx.ger(rows, cols, T(0.75), *x, inc, *y, inc + 1, *a);
+             return words(a->to_host());
+           });
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      if (inc == 2 && uplo == Uplo::Lower) continue;
+      const std::string u = uplo == Uplo::Lower ? "/L" : "/U";
+      level2("syr" + u + sfx, core::MatrixTiling::TilesByCols,
+             [=](Context& ctx, Device& dev) {
+               auto x = load(dev, Workload(73).vector<T>(tn * inc), 1);
+               auto a = load(dev, Workload(74).matrix<T>(tn, tn), 0);
+               ctx.syr(uplo, tn, T(-0.5), *x, inc, *a);
+               return words(a->to_host());
+             });
+      level2("syr2" + u + sfx, core::MatrixTiling::TilesByRows,
+             [=](Context& ctx, Device& dev) {
+               auto x = load(dev, Workload(75).vector<T>(tn * inc), 1);
+               auto y = load(dev, Workload(76).vector<T>(tn * (inc + 1)), 2);
+               auto a = load(dev, Workload(77).matrix<T>(tn, tn), 3);
+               ctx.syr2(uplo, tn, T(1.5), *x, inc, *y, inc + 1, *a);
+               return words(a->to_host());
+             });
+    }
+  }
+  return cs;
+}
+
+/// "name cycles=.. graph=cycles/stall chans=k:hash out=hash" for one call.
+template <typename T>
+std::string host_pin(const HostCase<T>& c, Mode mode) {
+  host::Device dev;
+  host::Context ctx(dev, mode);
+  const auto rec = ctx.tracing();
+  const std::vector<std::uint64_t> out = c.run(ctx, dev);
+  Fnv chans, outs;
+  std::size_t nchan = 0;
+  std::ostringstream graph;
+  for (const trace::Event& e : rec->events()) {
+    if (e.kind == trace::EventKind::ChannelStats) {
+      ++nchan;
+      for (const char ch : e.name_view()) {
+        chans.add(static_cast<unsigned char>(ch));
+      }
+      chans.add(e.a);
+      chans.add(e.b);
+      chans.add(e.flags);
+    } else if (e.kind == trace::EventKind::GraphStats) {
+      graph << (graph.tellp() == 0 ? "" : ",") << e.a << '/' << e.b;
+    }
+  }
+  outs.add_all(out);
+  std::ostringstream os;
+  os << c.name << " cycles=" << ctx.last_cycles() << " graph=" << graph.str()
+     << " chans=" << nchan << ':' << std::hex << chans.h << " out=" << outs.h;
+  return os.str();
+}
+
+template <typename T>
+std::vector<std::string> host_pins(Mode mode) {
+  std::vector<std::string> got;
+  for (const auto& c : host_cases<T>()) got.push_back(host_pin(c, mode));
+  return got;
+}
+
+/// The channel an armed corruption lands on, per routine (single
+/// precision, cycle mode, unit strides): the first injector seed whose
+/// draw reaches a push, and the victim it records.
+std::vector<std::string> victim_pins() {
+  std::vector<std::string> got;
+  for (const auto& c : host_cases<float>()) {
+    if (c.name.find("/strided") != std::string::npos || c.name == "rotg" ||
+        c.name == "rotmg") {
+      continue;  // the scalar setup routines run outside any command
+    }
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      host::Device dev;
+      host::FaultConfig fc;
+      fc.seed = seed;
+      fc.channel_corrupt_rate = 1.0;
+      fc.max_faults = 1;
+      dev.inject_faults(fc);
+      host::Context ctx(dev, Mode::Cycle);
+      c.run(ctx, dev);
+      const std::string victim = dev.faults().last_victim();
+      if (victim.empty()) continue;
+      got.push_back(c.name + " seed=" + std::to_string(seed) + " victim=" +
+                    victim);
+      break;
+    }
+  }
+  return got;
+}
+
+/// A generated Level-1 design of `blas` at width 8 on the Stratix 10.
+codegen::GeneratedDesign design_of(const std::string& blas,
+                                   const std::string& precision) {
+  const auto spec = codegen::parse_spec(
+      "{\"routines\": [{\"blas\": \"" + blas + "\", \"precision\": \"" +
+      precision + "\", \"width\": 8}]}");
+  return codegen::emit(spec.routines[0], sim::stratix10());
+}
+
+/// "blas cycles=.. out=hash" of codegen::run_level1 for all 13 Level-1
+/// kinds (sdsdot in single precision only).
+std::vector<std::string> runner_pins(const std::string& precision, Mode mode) {
+  std::vector<std::string> got;
+  for (const char* blas : {"rotg", "rotmg", "rot", "rotm", "swap", "scal",
+                           "copy", "axpy", "dot", "sdsdot", "nrm2", "asum",
+                           "iamax"}) {
+    if (precision == "double" && std::string(blas) == "sdsdot") continue;
+    codegen::Level1Inputs in;
+    in.x = Workload(78).vector<double>(100);
+    in.y = Workload(79).vector<double>(100);
+    in.alpha = 2.5;
+    in.c = 0.6;
+    in.s = 0.8;
+    if (std::string(blas) == "rotg") in.x = {3.0, 4.0};
+    if (std::string(blas) == "rotmg") in.x = {1.5, 0.5, 2.0, 1.0};
+    const auto r = codegen::run_level1(design_of(blas, precision), mode, in);
+    Fnv h;
+    for (const auto* v : {&r.out_x, &r.out_y}) {
+      h.add(v->size());
+      for (const double x : *v) h.add(std::bit_cast<std::uint64_t>(x));
+    }
+    h.add(std::bit_cast<std::uint64_t>(r.scalar));
+    h.add(static_cast<std::uint64_t>(r.index));
+    std::ostringstream os;
+    os << blas << " cycles=" << r.cycles << " out=" << std::hex << h.h;
+    got.push_back(os.str());
+  }
+  return got;
+}
+
+void expect_lines(const std::vector<std::string>& got,
+                  const std::vector<std::string>& want) {
+  ASSERT_EQ(got.size(), want.size()) << [&] {
+    std::string all;
+    for (const auto& s : got) all += "\"" + s + "\",\n";
+    return all;
+  }();
+  for (std::size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got[k], want[k]);
+}
+
+TEST(HostGolden, FloatCycle) {
+  expect_lines(host_pins<float>(Mode::Cycle),
+               {
+                   "rot/unit cycles=16 graph=16/5 chans=4:41e0f776db0bce67 out=1f506862c3bc3fcc",
+                   "rotm/unit cycles=16 graph=16/5 chans=4:41e0f776db0bce67 out=2153cc659b573212",
+                   "swap/unit cycles=16 graph=16/5 chans=4:41e0f776db0bce67 out=6b3d6c7611871b25",
+                   "scal/unit cycles=16 graph=16/5 chans=2:da2cfed6e5069192 out=d1a03122de271d2f",
+                   "copy/unit cycles=10 graph=10/4 chans=2:e519ecceee5fdf15 out=b70e06728891b799",
+                   "axpy/unit cycles=16 graph=16/5 chans=3:594c5bf8dc91e568 out=45abeaa3b46214b1",
+                   "dot/unit cycles=10 graph=10/11 chans=3:d347dace397d8400 out=ad47b56e9f50f9f0",
+                   "sdsdot/unit cycles=10 graph=10/11 chans=3:d347dace397d8400 out=ebbc0d43a7753791",
+                   "nrm2/unit cycles=10 graph=10/11 chans=2:37a8e5c8cbe8c5ce out=51a0c739822727dc",
+                   "asum/unit cycles=10 graph=10/11 chans=2:37a8e5c8cbe8c5ce out=20d0b77dd0d96046",
+                   "iamax/unit cycles=10 graph=10/11 chans=2:37a8e5c8cbe8c5ce out=c560b584cab2d298",
+                   "rot/strided cycles=16 graph=16/5 chans=4:41e0f776db0bce67 out=e678dcb191511583",
+                   "rotm/strided cycles=16 graph=16/5 chans=4:41e0f776db0bce67 out=c0337d48a0d0819d",
+                   "swap/strided cycles=16 graph=16/5 chans=4:41e0f776db0bce67 out=d1abffb20051ae17",
+                   "scal/strided cycles=16 graph=16/5 chans=2:da2cfed6e5069192 out=f02c83c32f7d8272",
+                   "copy/strided cycles=10 graph=10/4 chans=2:e519ecceee5fdf15 out=1274e55be3884358",
+                   "axpy/strided cycles=16 graph=16/5 chans=3:594c5bf8dc91e568 out=bf0a8b060810ec0e",
+                   "dot/strided cycles=10 graph=10/11 chans=3:d347dace397d8400 out=bb98519aff82c1b3",
+                   "sdsdot/strided cycles=10 graph=10/11 chans=3:d347dace397d8400 out=846355139fa6c3c0",
+                   "nrm2/strided cycles=10 graph=10/11 chans=2:37a8e5c8cbe8c5ce out=effe49315a1b42c1",
+                   "asum/strided cycles=10 graph=10/11 chans=2:37a8e5c8cbe8c5ce out=80b56f81bb1057e3",
+                   "iamax/strided cycles=10 graph=10/11 chans=2:37a8e5c8cbe8c5ce out=e2af24b83e7aaafa",
+                   "rotg cycles=1 graph= chans=0:cbf29ce484222325 out=b09d30b8dbfe091e",
+                   "rotmg cycles=1 graph= chans=0:cbf29ce484222325 out=6d0527d3ca4dbe6c",
+                   "gemv/N/rows cycles=254 graph=254/456 chans=4:7b657628f8516079 out=49588554d31a0a0a",
+                   "gemv/N/rows/strided cycles=254 graph=254/456 chans=4:7b657628f8516079 out=61a19a64bbfdf561",
+                   "gemv/N/cols cycles=254 graph=254/278 chans=4:5bbc3a033cc574b8 out=6928108c3d4eebea",
+                   "gemv/T/rows cycles=258 graph=258/285 chans=4:de24af1c72a7dc75 out=c8245b89b61de829",
+                   "gemv/T/cols cycles=255 graph=255/435 chans=4:fb818c855d982e73 out=4ba3c66c9ed15800",
+                   "trsv/LNN cycles=78 graph=78/99 chans=3:631af4886db48571 out=47201a4c1bc73a7f",
+                   "trsv/LNU cycles=78 graph=78/99 chans=3:631af4886db48571 out=65409f0399abbd94",
+                   "trsv/LTN cycles=78 graph=78/99 chans=3:631af4886db48571 out=aefc6a2808c62731",
+                   "trsv/LTU cycles=78 graph=78/99 chans=3:631af4886db48571 out=4a171b32b7b669b7",
+                   "trsv/UNN cycles=78 graph=78/99 chans=3:631af4886db48571 out=7c8d363eaee20d2e",
+                   "trsv/UNU cycles=78 graph=78/99 chans=3:631af4886db48571 out=384c3c67fe445559",
+                   "trsv/UTN cycles=78 graph=78/99 chans=3:631af4886db48571 out=a2c7c01010a3f05a",
+                   "trsv/UTN/strided cycles=78 graph=78/99 chans=3:631af4886db48571 out=86c6187e82a41506",
+                   "trsv/UTU cycles=78 graph=78/99 chans=3:631af4886db48571 out=ddb86f1ce875e2cc",
+                   "ger cycles=507 graph=507/726 chans=4:28ebe84b0078b041 out=b6ca6fb5647c3ffe",
+                   "syr/L cycles=181 graph=181/95 chans=4:c28ff6b381878357 out=d9af623af9afc10b",
+                   "syr2/L cycles=179 graph=179/86 chans=6:4ba77d93ce557dd7 out=82fe2166e377f85b",
+                   "syr/U cycles=183 graph=183/99 chans=4:2fc5a1d007861853 out=48939ed1e59643ab",
+                   "syr2/U cycles=180 graph=180/89 chans=6:af924d38e99579d7 out=4ed52723588babff",
+                   "ger/strided cycles=507 graph=507/726 chans=4:28ebe84b0078b041 out=9e8747c4944a4184",
+                   "syr/U/strided cycles=183 graph=183/99 chans=4:2fc5a1d007861853 out=24a59a2ffc91351",
+                   "syr2/U/strided cycles=180 graph=180/89 chans=6:af924d38e99579d7 out=b08ed29695133a1d",
+               });
+}
+TEST(HostGolden, FloatFunctional) {
+  expect_lines(host_pins<float>(Mode::Functional),
+               {
+                   "rot/unit cycles=0 graph=0/0 chans=4:3f36db638d630126 out=1f506862c3bc3fcc",
+                   "rotm/unit cycles=0 graph=0/0 chans=4:3f36db638d630126 out=2153cc659b573212",
+                   "swap/unit cycles=0 graph=0/0 chans=4:3f36db638d630126 out=6b3d6c7611871b25",
+                   "scal/unit cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=d1a03122de271d2f",
+                   "copy/unit cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=b70e06728891b799",
+                   "axpy/unit cycles=0 graph=0/0 chans=3:9aa71df689adac28 out=45abeaa3b46214b1",
+                   "dot/unit cycles=0 graph=0/0 chans=3:53b389401f799641 out=ad47b56e9f50f9f0",
+                   "sdsdot/unit cycles=0 graph=0/0 chans=3:53b389401f799641 out=ebbc0d43a7753791",
+                   "nrm2/unit cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=51a0c739822727dc",
+                   "asum/unit cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=20d0b77dd0d96046",
+                   "iamax/unit cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=c560b584cab2d298",
+                   "rot/strided cycles=0 graph=0/0 chans=4:3f36db638d630126 out=e678dcb191511583",
+                   "rotm/strided cycles=0 graph=0/0 chans=4:3f36db638d630126 out=c0337d48a0d0819d",
+                   "swap/strided cycles=0 graph=0/0 chans=4:3f36db638d630126 out=d1abffb20051ae17",
+                   "scal/strided cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=f02c83c32f7d8272",
+                   "copy/strided cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=1274e55be3884358",
+                   "axpy/strided cycles=0 graph=0/0 chans=3:9aa71df689adac28 out=bf0a8b060810ec0e",
+                   "dot/strided cycles=0 graph=0/0 chans=3:53b389401f799641 out=bb98519aff82c1b3",
+                   "sdsdot/strided cycles=0 graph=0/0 chans=3:53b389401f799641 out=846355139fa6c3c0",
+                   "nrm2/strided cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=effe49315a1b42c1",
+                   "asum/strided cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=80b56f81bb1057e3",
+                   "iamax/strided cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=e2af24b83e7aaafa",
+                   "rotg cycles=0 graph= chans=0:cbf29ce484222325 out=b09d30b8dbfe091e",
+                   "rotmg cycles=0 graph= chans=0:cbf29ce484222325 out=6d0527d3ca4dbe6c",
+                   "gemv/N/rows cycles=0 graph=0/0 chans=4:b76ad758b1c65061 out=49588554d31a0a0a",
+                   "gemv/N/rows/strided cycles=0 graph=0/0 chans=4:b76ad758b1c65061 out=61a19a64bbfdf561",
+                   "gemv/N/cols cycles=0 graph=0/0 chans=4:bef3a21732e1e097 out=6928108c3d4eebea",
+                   "gemv/T/rows cycles=0 graph=0/0 chans=4:2ce3c4ea871a47 out=c8245b89b61de829",
+                   "gemv/T/cols cycles=0 graph=0/0 chans=4:b3ccd4ea24f2d253 out=4ba3c66c9ed15800",
+                   "trsv/LNN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=47201a4c1bc73a7f",
+                   "trsv/LNU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=65409f0399abbd94",
+                   "trsv/LTN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=aefc6a2808c62731",
+                   "trsv/LTU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=4a171b32b7b669b7",
+                   "trsv/UNN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=7c8d363eaee20d2e",
+                   "trsv/UNU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=384c3c67fe445559",
+                   "trsv/UTN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=a2c7c01010a3f05a",
+                   "trsv/UTN/strided cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=86c6187e82a41506",
+                   "trsv/UTU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=ddb86f1ce875e2cc",
+                   "ger cycles=0 graph=0/0 chans=4:2246ffe2e429def4 out=b6ca6fb5647c3ffe",
+                   "syr/L cycles=0 graph=0/0 chans=4:7fe30b7d8d76d361 out=d9af623af9afc10b",
+                   "syr2/L cycles=0 graph=0/0 chans=6:cefc122ea3122682 out=82fe2166e377f85b",
+                   "syr/U cycles=0 graph=0/0 chans=4:7fe30b7d8d76d361 out=48939ed1e59643ab",
+                   "syr2/U cycles=0 graph=0/0 chans=6:cefc122ea3122682 out=4ed52723588babff",
+                   "ger/strided cycles=0 graph=0/0 chans=4:2246ffe2e429def4 out=9e8747c4944a4184",
+                   "syr/U/strided cycles=0 graph=0/0 chans=4:7fe30b7d8d76d361 out=24a59a2ffc91351",
+                   "syr2/U/strided cycles=0 graph=0/0 chans=6:cefc122ea3122682 out=b08ed29695133a1d",
+               });
+}
+TEST(HostGolden, DoubleCycle) {
+  expect_lines(host_pins<double>(Mode::Cycle),
+               {
+                   "rot/unit cycles=31 graph=31/15 chans=4:dda87f1da9e392a6 out=a5d4523ecc41178a",
+                   "rotm/unit cycles=31 graph=31/15 chans=4:dda87f1da9e392a6 out=1da96f8a2e109fb4",
+                   "swap/unit cycles=31 graph=31/15 chans=4:dda87f1da9e392a6 out=1c87a174b45cb90",
+                   "scal/unit cycles=31 graph=31/15 chans=2:c10b48a0174ea693 out=143bd1c06efd6c26",
+                   "copy/unit cycles=17 graph=17/10 chans=2:45a79c49ea9a0971 out=5a22674b13383a0d",
+                   "axpy/unit cycles=31 graph=31/15 chans=3:4abbb280cf4f8169 out=1a05a0de16c4cd02",
+                   "dot/unit cycles=17 graph=17/25 chans=3:2a5bdc9c7030a34b out=bf9ff96c08da6148",
+                   "nrm2/unit cycles=17 graph=17/25 chans=2:9199d269504edbfe out=7ad421b8e9863944",
+                   "asum/unit cycles=17 graph=17/25 chans=2:9199d269504edbfe out=e4bf30399a239d4",
+                   "iamax/unit cycles=17 graph=17/25 chans=2:9199d269504edbfe out=c560b584cab2d298",
+                   "rot/strided cycles=31 graph=31/15 chans=4:dda87f1da9e392a6 out=2e4ed84adb352bfa",
+                   "rotm/strided cycles=31 graph=31/15 chans=4:dda87f1da9e392a6 out=db0364a13c6a699d",
+                   "swap/strided cycles=31 graph=31/15 chans=4:dda87f1da9e392a6 out=51265bcf178cf5a",
+                   "scal/strided cycles=31 graph=31/15 chans=2:c10b48a0174ea693 out=e8e2ef53f2a697fd",
+                   "copy/strided cycles=17 graph=17/10 chans=2:45a79c49ea9a0971 out=14ed3c57fd116728",
+                   "axpy/strided cycles=31 graph=31/15 chans=3:4abbb280cf4f8169 out=da21d1932d94034f",
+                   "dot/strided cycles=17 graph=17/25 chans=3:2a5bdc9c7030a34b out=d2c746022d1769e9",
+                   "nrm2/strided cycles=17 graph=17/25 chans=2:9199d269504edbfe out=8cce29058253dcc0",
+                   "asum/strided cycles=17 graph=17/25 chans=2:9199d269504edbfe out=7868616ad6f7029e",
+                   "iamax/strided cycles=17 graph=17/25 chans=2:9199d269504edbfe out=e2af24b83e7aaafa",
+                   "rotg cycles=1 graph= chans=0:cbf29ce484222325 out=1de430090a03f94c",
+                   "rotmg cycles=1 graph= chans=0:cbf29ce484222325 out=58867d255bdfc36a",
+                   "gemv/N/rows cycles=508 graph=508/1131 chans=4:cd6b8f03674c045a out=44b5a32d395f0259",
+                   "gemv/N/rows/strided cycles=508 graph=508/1131 chans=4:cd6b8f03674c045a out=6c48683625330b5b",
+                   "gemv/N/cols cycles=508 graph=508/774 chans=4:93c0dc39f45fd1be out=9515847fee4d5894",
+                   "gemv/T/rows cycles=514 graph=514/787 chans=4:6dba4781dc1f5a6e out=ad112cdc96748a99",
+                   "gemv/T/cols cycles=510 graph=510/1087 chans=4:856c1c46237d569a out=68f0e135db976cb6",
+                   "trsv/LNN cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=8575182852451d00",
+                   "trsv/LNU cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=bd64a4e7f1b80b0b",
+                   "trsv/LTN cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=d7b83039cfa69221",
+                   "trsv/LTU cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=3a592c1d1b72c691",
+                   "trsv/UNN cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=e64d7181747dfd08",
+                   "trsv/UNU cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=ca656acec0b5987",
+                   "trsv/UTN cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=ceab23d6718bc351",
+                   "trsv/UTN/strided cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=ac716fc8abf606a4",
+                   "trsv/UTU cycles=154 graph=154/247 chans=3:3069d6d094eccdb1 out=a84b92b33aa85443",
+                   "ger cycles=1013 graph=1013/1589 chans=4:c2dee911aa6580f2 out=2a2de7b75d45fcd2",
+                   "syr/L cycles=358 graph=358/303 chans=4:fd05466fda9a934e out=6908893b80c3f5d0",
+                   "syr2/L cycles=357 graph=357/282 chans=6:a04123ce5250d806 out=97eb9df1caf3542b",
+                   "syr/U cycles=362 graph=362/304 chans=4:535a9e7e8c062cdb out=bb56248bc8512841",
+                   "syr2/U cycles=354 graph=354/289 chans=6:dac063e3874d670e out=df49ba22adf15f9b",
+                   "ger/strided cycles=1013 graph=1013/1589 chans=4:c2dee911aa6580f2 out=913ea84fb6113645",
+                   "syr/U/strided cycles=362 graph=362/304 chans=4:535a9e7e8c062cdb out=80712860816a2c52",
+                   "syr2/U/strided cycles=354 graph=354/289 chans=6:dac063e3874d670e out=a5d1b1958e9c5a32",
+               });
+}
+TEST(HostGolden, DoubleFunctional) {
+  expect_lines(host_pins<double>(Mode::Functional),
+               {
+                   "rot/unit cycles=0 graph=0/0 chans=4:3f36db638d630126 out=a5d4523ecc41178a",
+                   "rotm/unit cycles=0 graph=0/0 chans=4:3f36db638d630126 out=1da96f8a2e109fb4",
+                   "swap/unit cycles=0 graph=0/0 chans=4:3f36db638d630126 out=1c87a174b45cb90",
+                   "scal/unit cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=143bd1c06efd6c26",
+                   "copy/unit cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=5a22674b13383a0d",
+                   "axpy/unit cycles=0 graph=0/0 chans=3:9aa71df689adac28 out=1a05a0de16c4cd02",
+                   "dot/unit cycles=0 graph=0/0 chans=3:53b389401f799641 out=bf9ff96c08da6148",
+                   "nrm2/unit cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=7ad421b8e9863944",
+                   "asum/unit cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=e4bf30399a239d4",
+                   "iamax/unit cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=c560b584cab2d298",
+                   "rot/strided cycles=0 graph=0/0 chans=4:3f36db638d630126 out=2e4ed84adb352bfa",
+                   "rotm/strided cycles=0 graph=0/0 chans=4:3f36db638d630126 out=db0364a13c6a699d",
+                   "swap/strided cycles=0 graph=0/0 chans=4:3f36db638d630126 out=51265bcf178cf5a",
+                   "scal/strided cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=e8e2ef53f2a697fd",
+                   "copy/strided cycles=0 graph=0/0 chans=2:414f98be45d8e350 out=14ed3c57fd116728",
+                   "axpy/strided cycles=0 graph=0/0 chans=3:9aa71df689adac28 out=da21d1932d94034f",
+                   "dot/strided cycles=0 graph=0/0 chans=3:53b389401f799641 out=d2c746022d1769e9",
+                   "nrm2/strided cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=8cce29058253dcc0",
+                   "asum/strided cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=7868616ad6f7029e",
+                   "iamax/strided cycles=0 graph=0/0 chans=2:1991d5be721c05f9 out=e2af24b83e7aaafa",
+                   "rotg cycles=0 graph= chans=0:cbf29ce484222325 out=1de430090a03f94c",
+                   "rotmg cycles=0 graph= chans=0:cbf29ce484222325 out=58867d255bdfc36a",
+                   "gemv/N/rows cycles=0 graph=0/0 chans=4:b76ad758b1c65061 out=44b5a32d395f0259",
+                   "gemv/N/rows/strided cycles=0 graph=0/0 chans=4:b76ad758b1c65061 out=6c48683625330b5b",
+                   "gemv/N/cols cycles=0 graph=0/0 chans=4:bef3a21732e1e097 out=9515847fee4d5894",
+                   "gemv/T/rows cycles=0 graph=0/0 chans=4:2ce3c4ea871a47 out=ad112cdc96748a99",
+                   "gemv/T/cols cycles=0 graph=0/0 chans=4:b3ccd4ea24f2d253 out=68f0e135db976cb6",
+                   "trsv/LNN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=8575182852451d00",
+                   "trsv/LNU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=bd64a4e7f1b80b0b",
+                   "trsv/LTN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=d7b83039cfa69221",
+                   "trsv/LTU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=3a592c1d1b72c691",
+                   "trsv/UNN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=e64d7181747dfd08",
+                   "trsv/UNU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=ca656acec0b5987",
+                   "trsv/UTN cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=ceab23d6718bc351",
+                   "trsv/UTN/strided cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=ac716fc8abf606a4",
+                   "trsv/UTU cycles=0 graph=0/0 chans=3:6021ce8f29ef0288 out=a84b92b33aa85443",
+                   "ger cycles=0 graph=0/0 chans=4:2246ffe2e429def4 out=2a2de7b75d45fcd2",
+                   "syr/L cycles=0 graph=0/0 chans=4:7fe30b7d8d76d361 out=6908893b80c3f5d0",
+                   "syr2/L cycles=0 graph=0/0 chans=6:cefc122ea3122682 out=97eb9df1caf3542b",
+                   "syr/U cycles=0 graph=0/0 chans=4:7fe30b7d8d76d361 out=bb56248bc8512841",
+                   "syr2/U cycles=0 graph=0/0 chans=6:cefc122ea3122682 out=df49ba22adf15f9b",
+                   "ger/strided cycles=0 graph=0/0 chans=4:2246ffe2e429def4 out=913ea84fb6113645",
+                   "syr/U/strided cycles=0 graph=0/0 chans=4:7fe30b7d8d76d361 out=80712860816a2c52",
+                   "syr2/U/strided cycles=0 graph=0/0 chans=6:cefc122ea3122682 out=a5d1b1958e9c5a32",
+               });
+}
+TEST(HostGolden, CorruptionVictims) { expect_lines(victim_pins(),
+               {
+                   "rot/unit seed=1 victim=ox",
+                   "rotm/unit seed=1 victim=ox",
+                   "swap/unit seed=1 victim=ox",
+                   "scal/unit seed=5 victim=out",
+                   "copy/unit seed=5 victim=out",
+                   "axpy/unit seed=5 victim=y",
+                   "dot/unit seed=5 victim=y",
+                   "sdsdot/unit seed=5 victim=y",
+                   "nrm2/unit seed=5 victim=x",
+                   "asum/unit seed=5 victim=x",
+                   "iamax/unit seed=5 victim=x",
+                   "gemv/N/rows seed=1 victim=A",
+                   "gemv/N/cols seed=1 victim=A",
+                   "gemv/T/rows seed=1 victim=A",
+                   "gemv/T/cols seed=1 victim=A",
+                   "trsv/LNN seed=1 victim=A",
+                   "trsv/LNU seed=1 victim=A",
+                   "trsv/LTN seed=1 victim=A",
+                   "trsv/LTU seed=1 victim=A",
+                   "trsv/UNN seed=1 victim=A",
+                   "trsv/UNU seed=1 victim=A",
+                   "trsv/UTN seed=1 victim=A",
+                   "trsv/UTU seed=1 victim=A",
+                   "ger seed=1 victim=A",
+                   "syr/L seed=1 victim=A",
+                   "syr2/L seed=1 victim=A",
+                   "syr/U seed=1 victim=out",
+                   "syr2/U seed=1 victim=A",
+               }); }
+TEST(HostGolden, RunnerSingle) {
+  expect_lines(runner_pins("single", Mode::Cycle),
+               {
+                   "rotg cycles=1 out=ed89f5d5701e2800",
+                   "rotmg cycles=1 out=8d67e21542c6ad3e",
+                   "rot cycles=13 out=e55d11f3455399a",
+                   "rotm cycles=13 out=cae8d5bebfb57b7e",
+                   "swap cycles=13 out=f97bf0a8f00442db",
+                   "scal cycles=13 out=e01525b808e7e053",
+                   "copy cycles=13 out=9d5857fbbb860ff2",
+                   "axpy cycles=13 out=cc6d0f653625a257",
+                   "dot cycles=14 out=60dfca15dd41e3f2",
+                   "sdsdot cycles=14 out=c23438ccd722b938",
+                   "nrm2 cycles=14 out=cb1b48351b8d230f",
+                   "asum cycles=14 out=4b28932f654d023b",
+                   "iamax cycles=14 out=31fa476369d87cff",
+               });
+  expect_lines(runner_pins("single", Mode::Functional),
+               {
+                   "rotg cycles=0 out=ed89f5d5701e2800",
+                   "rotmg cycles=0 out=8d67e21542c6ad3e",
+                   "rot cycles=0 out=e55d11f3455399a",
+                   "rotm cycles=0 out=cae8d5bebfb57b7e",
+                   "swap cycles=0 out=f97bf0a8f00442db",
+                   "scal cycles=0 out=e01525b808e7e053",
+                   "copy cycles=0 out=9d5857fbbb860ff2",
+                   "axpy cycles=0 out=cc6d0f653625a257",
+                   "dot cycles=0 out=60dfca15dd41e3f2",
+                   "sdsdot cycles=0 out=c23438ccd722b938",
+                   "nrm2 cycles=0 out=cb1b48351b8d230f",
+                   "asum cycles=0 out=4b28932f654d023b",
+                   "iamax cycles=0 out=31fa476369d87cff",
+               });
+}
+TEST(HostGolden, RunnerDouble) {
+  expect_lines(runner_pins("double", Mode::Cycle),
+               {
+                   "rotg cycles=1 out=e7d46fc4ae694dc4",
+                   "rotmg cycles=1 out=fcaaa26bf865da2",
+                   "rot cycles=13 out=f181d69e0dce1521",
+                   "rotm cycles=13 out=dfeb3eaa44d367da",
+                   "swap cycles=13 out=179e4535833e137c",
+                   "scal cycles=13 out=9ed0afcd035fee97",
+                   "copy cycles=13 out=913c25b4fefd3b62",
+                   "axpy cycles=13 out=62da2ac994438997",
+                   "dot cycles=14 out=96dee7d890a2a18d",
+                   "nrm2 cycles=14 out=1125bd2e639141b5",
+                   "asum cycles=14 out=732c88bf4f7986b5",
+                   "iamax cycles=14 out=31fa476369d87cff",
+               });
+  expect_lines(runner_pins("double", Mode::Functional),
+               {
+                   "rotg cycles=0 out=e7d46fc4ae694dc4",
+                   "rotmg cycles=0 out=fcaaa26bf865da2",
+                   "rot cycles=0 out=f181d69e0dce1521",
+                   "rotm cycles=0 out=dfeb3eaa44d367da",
+                   "swap cycles=0 out=179e4535833e137c",
+                   "scal cycles=0 out=9ed0afcd035fee97",
+                   "copy cycles=0 out=913c25b4fefd3b62",
+                   "axpy cycles=0 out=62da2ac994438997",
+                   "dot cycles=0 out=96dee7d890a2a18d",
+                   "nrm2 cycles=0 out=1125bd2e639141b5",
+                   "asum cycles=0 out=732c88bf4f7986b5",
+                   "iamax cycles=0 out=31fa476369d87cff",
+               });
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 #include "host/buffer.hpp"
 #include "host/composition.hpp"
 #include "host/context.hpp"
-#include "mdag/checksum.hpp"
+#include "mdag/compile.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 #include "verify/graph_checker.hpp"
@@ -75,97 +75,43 @@ TEST(VerifyOptions, BuilderRoundTripAndValidation) {
                ConfigError);
 }
 
-// --- Checksum-propagation rules (mdag/checksum) ---------------------------
+// --- Composition predictions ----------------------------------------------
 
-TEST(VerifyChecksum, GemvPullbackPredictsDownstreamChecksum) {
-  const std::int64_t n = 9, m = 7;
-  Workload wl(90);
-  const auto ha = wl.matrix<double>(n, m);
-  const auto hx = wl.vector<double>(m);
-  const MatrixView<const double> A(ha.data(), n, m);
-  const VectorView<const double> x(hx.data(), m);
-
-  // y = A x: sum(y) must equal (A^T 1)^T x — the pullback of unit
-  // weights through the GEMV rule.
-  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
-  ref::gemv(Transpose::None, 1.0, A, x, 0.0, VectorView<double>(y.data(), n));
-  double direct = 0.0;
-  for (double val : y) direct += val;
-  const auto w = mdag::gemv_pullback<double>(Transpose::None, A, mdag::ones(n));
-  ASSERT_EQ(static_cast<std::int64_t>(w.size()), m);
-  const auto pred = mdag::weighted_vec_checksum<double>(x, w);
-  EXPECT_NEAR(pred.pred, direct, 1e-9 * std::max(1.0, std::abs(direct)));
-
-  // Transposed direction: s = A^T r pulls back to (A 1) on the r edge.
-  const auto hr = wl.vector<double>(n);
-  const VectorView<const double> r(hr.data(), n);
-  std::vector<double> s(static_cast<std::size_t>(m), 0.0);
-  ref::gemv(Transpose::Trans, 1.0, A, r, 0.0, VectorView<double>(s.data(), m));
-  double sdirect = 0.0;
-  for (double val : s) sdirect += val;
-  const auto wt = mdag::gemv_pullback<double>(Transpose::Trans, A,
-                                              mdag::ones(m));
-  ASSERT_EQ(static_cast<std::int64_t>(wt.size()), n);
-  const auto spred = mdag::weighted_vec_checksum<double>(r, wt);
-  EXPECT_NEAR(spred.pred, sdirect, 1e-9 * std::max(1.0, std::abs(sdirect)));
-
-  // combine() is the AXPY linearity rule; zero generators are exact.
-  const auto c = mdag::combine(pred, spred, 2.0, -3.0);
-  EXPECT_DOUBLE_EQ(c.pred, 2.0 * pred.pred - 3.0 * spred.pred);
-  EXPECT_EQ(c.terms, pred.terms + spred.terms);
-  EXPECT_EQ(mdag::zero_checksum(5).pred, 0.0);
-}
-
-TEST(VerifyChecksum, GerPropagationRulePredictsOutputChecksum) {
-  // GER rule: for A = alpha x y^T + A0 the unit-weight output checksum is
-  // e^T A0 e + alpha (e^T x)(y^T e) — the first bilinear module-DAG rule
-  // beyond DOT, computed from per-pass input checksums only.
-  const std::int64_t n = 11, m = 8;
-  const double alpha = 0.75;
-  Workload wl(95);
-  auto ha = wl.matrix<double>(n, m);
-  const auto hx = wl.vector<double>(n);
-  const auto hy = wl.vector<double>(m);
-
-  const auto a0 = mdag::mat_checksum<double>(
-      MatrixView<const double>(ha.data(), n, m));
-  const auto cx = mdag::vec_checksum<double>(
-      VectorView<const double>(hx.data(), n));
-  const auto cy = mdag::vec_checksum<double>(
-      VectorView<const double>(hy.data(), m));
-  const auto pred = mdag::ger_propagate(a0, cx, cy, alpha);
-
-  ref::ger(alpha, VectorView<const double>(hx.data(), n),
-           VectorView<const double>(hy.data(), m),
-           MatrixView<double>(ha.data(), n, m));
-  double direct = 0.0;
-  for (double val : ha) direct += val;
-  EXPECT_NEAR(pred.pred, direct, 1e-9 * std::max(1.0, std::abs(direct)));
-  EXPECT_EQ(pred.terms, a0.terms + cx.terms * cy.terms);
-  EXPECT_GE(pred.mag, std::abs(pred.pred));
-}
-
-TEST(VerifyChecksum, TrsvPropagationRulePredictsSolutionChecksum) {
-  // TRSV rule: x = op(A)^{-1} b has no linear pullback onto b (the
-  // inverse is dense), so the rule forward-solves the triangular system
-  // in double and checksums the solution — every uplo/trans/diag variant
-  // must agree with refblas on sum(x).
+TEST(VerifyChecksum, TrsvPredictionMatchesSolutionChecksum) {
+  // A one-TRSV composition's predicted output stream: x = op(A)^{-1} b
+  // has no linear pullback onto b (the inverse is dense), so the
+  // prediction forward-solves the triangular system in double — every
+  // uplo/trans/diag variant must agree with refblas on sum(x).
   const std::int64_t n = 13;
   Workload wl(90);
+  host::Device dev;
   for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
     for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
       for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
         const auto ha = wl.triangular<double>(n, uplo, diag);
         const auto hb = wl.vector<double>(n);
-        const MatrixView<const double> A(ha.data(), n, n);
+        host::Buffer<double> a(dev, n * n, 0), b(dev, n, 1), x(dev, n, 2);
+        a.write(ha);
+        b.write(hb);
+        host::Composition<double> c("trsv");
+        const int ra = c.input_triangular("read_A", a, uplo, trans);
+        const int rb = c.input("read_b", b);
+        const int wx = c.output("write_x", x);
+        const int tr = c.trsv("trsv", uplo, trans, diag);
+        c.connect(ra, tr, mdag::StreamSig::vec(n * (n + 1) / 2));
+        c.connect(rb, tr, mdag::StreamSig::vec(n));
+        c.connect(tr, wx, mdag::StreamSig::vec(n));
+        const auto p = host::predict_checksums(
+            c, mdag::compile(c.graph(), c.semantics(), c.compile_options(4)));
+        ASSERT_EQ(p.audits.size(), 1u);
+        const verify::EdgeChecksum pred = p.audits[0].second;
 
-        const auto pred = mdag::trsv_propagate<double>(
-            uplo, trans, diag, A, VectorView<const double>(hb.data(), n));
-
-        std::vector<double> x = hb;  // ref::trsv solves in place
-        ref::trsv<double>(uplo, trans, diag, A, VectorView<double>(x.data(), n));
+        std::vector<double> sol = hb;  // ref::trsv solves in place
+        ref::trsv<double>(uplo, trans, diag,
+                          MatrixView<const double>(ha.data(), n, n),
+                          VectorView<double>(sol.data(), n));
         double direct = 0.0, mag = 0.0;
-        for (double v : x) {
+        for (double v : sol) {
           direct += v;
           mag += std::abs(v);
         }
@@ -175,8 +121,9 @@ TEST(VerifyChecksum, TrsvPropagationRulePredictsSolutionChecksum) {
             << " trans=" << static_cast<int>(trans)
             << " diag=" << static_cast<int>(diag);
         EXPECT_NEAR(pred.mag, mag, 1e-9 * std::max(1.0, mag));
-        // The bound scales with the n^2 multiply-accumulates of the solve.
-        EXPECT_EQ(pred.terms, n * n);
+        // The bound scales with the n^2 multiply-accumulates of the solve
+        // on top of the n terms of b.
+        EXPECT_EQ(pred.terms, n * n + n);
       }
     }
   }
@@ -184,7 +131,7 @@ TEST(VerifyChecksum, TrsvPropagationRulePredictsSolutionChecksum) {
 
 TEST(VerifyComposed, TrsvCompositionChecksumLocalizesCorruption) {
   // A compiled TRSV composition: triangular reader -> solver -> writer.
-  // Clean runs verify via the trsv_propagate prediction; a corrupted
+  // Clean runs verify against the forward-solve prediction; a corrupted
   // in-flight value is rejected with the first divergent edge naming the
   // injector's ground-truth channel, and retries recover bit-identically.
   const std::int64_t n = 48;
@@ -260,8 +207,8 @@ TEST(VerifyComposed, TrsvCompositionChecksumLocalizesCorruption) {
 
 // --- GraphChecker over a GER-shaped module graph ---------------------------
 // The rank-1 update partition the mdag planner emits: read_A / read_x /
-// read_y feeding the GER module, writing the updated panel out. The GER
-// propagation rule predicts the out edge from the DRAM operands alone.
+// read_y feeding the GER module, writing the updated panel out. The out
+// edge is predicted from the DRAM operands alone.
 
 template <typename T>
 void run_ger_checked(verify::GraphChecker& chk, std::int64_t rows,
@@ -311,25 +258,38 @@ TEST(VerifyChecksum, GerGraphCheckerAcceptsCleanAndLocalizesCorruption) {
   const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
   const core::GerConfig cfg{core::MatrixTiling::TilesByRows, 4, 16, 16};
 
+  // Predictions computed here in double, as the composition compiler's
+  // forward replay does: sum, magnitude and terms of each stream.
+  const auto checksum = [](const auto& v, std::int64_t repeat) {
+    verify::EdgeChecksum c;
+    for (const auto x : v) {
+      c.pred += static_cast<double>(x);
+      c.mag += std::abs(static_cast<double>(x));
+    }
+    c.pred *= static_cast<double>(repeat);
+    c.mag *= static_cast<double>(repeat);
+    c.terms = static_cast<std::int64_t>(v.size()) * repeat;
+    return c;
+  };
+  std::vector<double> updated(ha.size());
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const auto k = static_cast<std::size_t>(i * cols + j);
+      updated[k] = static_cast<double>(ha[k]) +
+                   static_cast<double>(alpha) *
+                       static_cast<double>(hx[static_cast<std::size_t>(i)]) *
+                       static_cast<double>(hy[static_cast<std::size_t>(j)]);
+    }
+  }
   auto expect_edges = [&](verify::GraphChecker& chk) {
     chk.reset("ger");
-    const auto a0 = mdag::mat_checksum<T>(
-        MatrixView<const T>(ha.data(), rows, cols));
-    const auto cx1 = mdag::vec_checksum<T>(
-        VectorView<const T>(hx.data(), rows));
-    const auto cy1 = mdag::vec_checksum<T>(
-        VectorView<const T>(hy.data(), cols));
     // Edges in topological order: operands, then the module's output.
-    chk.expect("A", a0, eps);
-    chk.expect("x",
-               mdag::vec_checksum<T>(VectorView<const T>(hx.data(), rows),
-                                     core::ger_x_repeat(cfg, rows, cols)),
-               eps);
-    chk.expect("y",
-               mdag::vec_checksum<T>(VectorView<const T>(hy.data(), cols),
-                                     core::ger_y_repeat(cfg, rows, cols)),
-               eps);
-    chk.expect("out", mdag::ger_propagate(a0, cx1, cy1, alpha), eps);
+    chk.expect("A", checksum(ha, 1), eps);
+    chk.expect("x", checksum(hx, core::ger_x_repeat(cfg, rows, cols)), eps);
+    chk.expect("y", checksum(hy, core::ger_y_repeat(cfg, rows, cols)), eps);
+    verify::EdgeChecksum out = checksum(updated, 1);
+    out.terms = rows * cols + rows * cols;  // A0 plus the x_i y_j products
+    chk.expect("out", out, eps);
   };
 
   {  // Clean run: all four edges match their predictions.
