@@ -28,10 +28,10 @@ constexpr std::array<RoutineInfo, kRoutineCount> kRoutines{{
     {RoutineKind::Ger, "ger", 2, CircuitClass::Map, 1, 2, true, 3, 3, true},
     {RoutineKind::Syr, "syr", 2, CircuitClass::Map, 1, 2, true, 3, 3, false},
     {RoutineKind::Syr2, "syr2", 2, CircuitClass::Map, 1, 4, true, 5, 5, false},
-    {RoutineKind::Gemm, "gemm", 3, CircuitClass::Systolic, 2, 2, true, 0, 0, false},
-    {RoutineKind::Syrk, "syrk", 3, CircuitClass::Systolic, 2, 2, true, 0, 0, false},
-    {RoutineKind::Syr2k, "syr2k", 3, CircuitClass::Systolic, 2, 4, true, 0, 0, false},
-    {RoutineKind::Trsm, "trsm", 3, CircuitClass::Systolic, 1, 2, true, 0, 0, false},
+    {RoutineKind::Gemm, "gemm", 3, CircuitClass::Systolic, 2, 2, true, 3, 3, false},
+    {RoutineKind::Syrk, "syrk", 3, CircuitClass::Systolic, 2, 2, true, 3, 3, false},
+    {RoutineKind::Syr2k, "syr2k", 3, CircuitClass::Systolic, 2, 4, true, 5, 5, false},
+    {RoutineKind::Trsm, "trsm", 3, CircuitClass::Systolic, 1, 2, true, 2, 2, false},
 }};
 
 }  // namespace

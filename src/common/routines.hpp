@@ -57,8 +57,7 @@ struct RoutineInfo {
   /// one multiply + one add; SCAL: 1; GEMV/GEMM: 2 per MAC).
   int ops_per_element;
   bool streams_matrix;  ///< has a tiled 2-D operand
-  /// Input ports of the streaming module (host/kinds.hpp; 0 for Level 3,
-  /// which is lowered outside that table).
+  /// Input ports of the streaming module (host/kinds.hpp).
   int inputs;
   /// Fewest input edges a composition may give it: the rest are
   /// synthesized zeros (GEMV without y0).

@@ -618,6 +618,33 @@ Event Context::run_composition_async(const Composition<T>& comp) {
                       "composition: a triangular stream cannot round-trip "
                       "through DRAM");
       }
+      // An Upper solve takes b and leaves x in reverse order, which only
+      // a reader or writer at the other end of an uncut edge streams; any
+      // other route would solve a permuted system unseen by checksums.
+      const auto outs = st->cp.out_edges(g, u);
+      const auto inputs =
+          static_cast<std::size_t>(routine_info(node.kind).inputs);
+      for (std::size_t p = 0; p < ports.size(); ++p) {
+        if (ports[p].kind != PortKind::SolveOrder ||
+            ports[p].uplo != Uplo::Upper) {
+          continue;
+        }
+        for (const int e : p < inputs ? std::vector<int>{ins.at(p)} : outs) {
+          const mdag::Edge& edge = g.edge(e);
+          const int end = p < inputs ? edge.from : edge.to;
+          const std::size_t branches =
+              p < inputs ? st->cp.out_edges(g, end).size() : outs.size();
+          FBLAS_REQUIRE(
+              !st->cp.edge_cut[static_cast<std::size_t>(e)] &&
+                  g.node(end).type == mdag::NodeType::Interface &&
+                  branches == 1,
+              "composition: edge " + std::to_string(e) + " (" +
+                  g.node(edge.from).name + "->" + g.node(edge.to).name +
+                  ") carries an Upper TRSV's b or x, which streams in "
+                  "reverse order: it must run uncut and unshared between "
+                  "the solver and a reader or writer");
+        }
+      }
       continue;
     }
     if (s.is_output) {

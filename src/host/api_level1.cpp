@@ -1,11 +1,11 @@
 // Level-1 host API: every routine lowers through its descriptor in the
 // per-kind module table (host/kinds.hpp) via detail::lower_call, which
-// checks the operand views at enqueue and builds reader -> module ->
+// checks the operand views at enqueue, derives the buffer read and write
+// sets (hazard tracking) from the ports, and builds reader -> module ->
 // writer graphs with the refblas reference as the command's fallback.
 //
-// What stays here is what differs per call: the buffer read and write
-// sets (hazard tracking) and, when the captured config enables
-// verification, the ABFT checksum checkers. rotm and sdsdot carry no
+// What stays here is what differs per call: when the captured config
+// enables verification, the ABFT checksum checkers. rotm and sdsdot carry no
 // checker: rotm's modified-rotation flag cases have no single linear
 // checksum identity, and sdsdot's mixed-precision accumulation has no
 // tight double-precision bound — both stay covered by fault *detection*
@@ -51,8 +51,6 @@ Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Rot,
                                       {.n = n, .c = c, .s = s},
                                       {{x, incx}, {y, incy}});
-  cmd.reads = {&x, &y};
-  cmd.writes = {&x, &y};
   detail::verify_with<verify::PairCheck>(
       *this, cmd,
       [=, &x, &y] {
@@ -72,8 +70,6 @@ Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Rotm,
                                       {.n = n, .param = p},
                                       {{x, incx}, {y, incy}});
-  cmd.reads = {&x, &y};
-  cmd.writes = {&x, &y};
   return enqueue(std::move(cmd));
 }
 
@@ -82,8 +78,6 @@ Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Swap, {.n = n},
                                       {{x, incx}, {y, incy}});
-  cmd.reads = {&x, &y};
-  cmd.writes = {&x, &y};
   detail::verify_with<verify::PairCheck>(
       *this, cmd,
       [=, &x, &y] {
@@ -101,8 +95,6 @@ Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
                           std::int64_t incx) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Scal,
                                       {.n = n, .alpha = alpha}, {{x, incx}});
-  cmd.reads = {&x};
-  cmd.writes = {&x};
   detail::verify_with<verify::ScalarCheck>(
       *this, cmd,
       [=, &x] { return verify::scal_prepare<T>(alpha, x.cvec(n, incx)); },
@@ -118,8 +110,6 @@ Event Context::copy_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incy) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Copy, {.n = n},
                                       {{x, incx}, {y, incy}});
-  cmd.reads = {&x};
-  cmd.writes = {&y};
   detail::verify_with<verify::ScalarCheck>(
       *this, cmd, [=, &x] { return verify::copy_prepare<T>(x.cvec(n, incx)); },
       [=, &y](const verify::ScalarCheck& chk, double scale) {
@@ -135,8 +125,6 @@ Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Axpy,
                                       {.n = n, .alpha = alpha},
                                       {{x, incx}, {y, incy}});
-  cmd.reads = {&x, &y};
-  cmd.writes = {&y};
   detail::verify_with<verify::ScalarCheck>(
       *this, cmd,
       [=, &x, &y] {
@@ -155,8 +143,6 @@ Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
                          std::int64_t incy, T* result) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Dot, {.n = n},
                                       {{x, incx}, {y, incy}, {result}});
-  cmd.reads = {&x, &y};
-  cmd.writes = {result};
   // Single-phase: the inputs are untouched, so the checker recomputes the
   // reduction in double after the fact — no prepare pass needed.
   detail::verify_with(*this, cmd, [=, &x, &y](double scale) {
@@ -171,8 +157,6 @@ Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
   Command cmd = detail::lower_call<float>(*this, RoutineKind::Sdsdot,
                                           {.n = n, .alpha = sb},
                                           {{x, incx}, {y, incy}, {result}});
-  cmd.reads = {&x, &y};
-  cmd.writes = {result};
   return enqueue(std::move(cmd));
 }
 
@@ -181,8 +165,6 @@ Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Nrm2, {.n = n},
                                       {{x, incx}, {result}});
-  cmd.reads = {&x};
-  cmd.writes = {result};
   detail::verify_with(*this, cmd, [=, &x](double scale) {
     verify::nrm2_check<T>(x.cvec(n, incx), *result, scale);
   });
@@ -194,8 +176,6 @@ Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Asum, {.n = n},
                                       {{x, incx}, {result}});
-  cmd.reads = {&x};
-  cmd.writes = {result};
   detail::verify_with(*this, cmd, [=, &x](double scale) {
     verify::asum_check<T>(x.cvec(n, incx), *result, scale);
   });
@@ -207,8 +187,6 @@ Event Context::iamax_async(std::int64_t n, const Buffer<T>& x,
                            std::int64_t incx, std::int64_t* result) {
   Command cmd = detail::lower_call<T>(*this, RoutineKind::Iamax, {.n = n},
                                       {{x, incx}, {result}});
-  cmd.reads = {&x};
-  cmd.writes = {result};
   detail::verify_with(*this, cmd, [=, &x](double) {
     verify::iamax_check<T>(x.cvec(n, incx), *result);
   });

@@ -1,8 +1,9 @@
 // Level-2 host API: like Level 1 (api_level1.cpp), every routine lowers
 // through its descriptor in the per-kind module table (host/kinds.hpp)
-// via detail::lower_call. Each call keeps its buffer read/write sets and,
-// when the captured config enables verification, its ABFT dot-product /
-// rank-update checksum checkers.
+// via detail::lower_call, which also derives its buffer read/write sets
+// and, for SYR and SYR2, the steering of injected corruption onto the
+// stored triangle. Each call keeps, when the captured config enables
+// verification, its ABFT dot-product / rank-update checksum checkers.
 
 #include "host/context.hpp"
 #include "host/detail.hpp"
@@ -20,8 +21,6 @@ Event Context::gemv_async(Transpose trans, std::int64_t rows,
       {.rows = rows, .cols = cols, .alpha = alpha, .beta = beta,
        .trans = trans},
       {{a}, {x, incx}, {y, incy}});
-  cmd.reads = {&a, &x, &y};
-  cmd.writes = {&y};
   const std::int64_t xlen = trans == Transpose::None ? cols : rows;
   const std::int64_t ylen = trans == Transpose::None ? rows : cols;
   detail::verify_with<verify::ScalarCheck>(
@@ -44,8 +43,6 @@ Event Context::trsv_async(Uplo uplo, Transpose trans, Diag diag,
   Command cmd = detail::lower_call<T>(
       *this, RoutineKind::Trsv,
       {.n = n, .trans = trans, .uplo = uplo, .diag = diag}, {{a}, {x, incx}});
-  cmd.reads = {&a, &x};
-  cmd.writes = {&x};
   // Residual check: the solve overwrites b with x, so capture e^T b
   // first; afterwards e^T (op(A) x) must reproduce it.
   detail::verify_with<verify::ScalarCheck>(
@@ -66,8 +63,6 @@ Event Context::ger_async(std::int64_t rows, std::int64_t cols, T alpha,
   Command cmd = detail::lower_call<T>(
       *this, RoutineKind::Ger, {.rows = rows, .cols = cols, .alpha = alpha},
       {{x, incx}, {y, incy}, {a}});
-  cmd.reads = {&x, &y, &a};
-  cmd.writes = {&a};
   detail::verify_with<verify::RowSumCheck>(
       *this, cmd,
       [=, &x, &y, &a] {
@@ -87,8 +82,6 @@ Event Context::syr_async(Uplo uplo, std::int64_t n, T alpha,
   Command cmd = detail::lower_call<T>(
       *this, RoutineKind::Syr, {.n = n, .alpha = alpha, .uplo = uplo},
       {{x, incx}, {a}});
-  cmd.reads = {&x, &a};
-  cmd.writes = {&a};
   detail::verify_with<verify::RowSumCheck>(
       *this, cmd,
       [=, &x, &a] {
@@ -109,8 +102,6 @@ Event Context::syr2_async(Uplo uplo, std::int64_t n, T alpha,
   Command cmd = detail::lower_call<T>(
       *this, RoutineKind::Syr2, {.n = n, .alpha = alpha, .uplo = uplo},
       {{x, incx}, {y, incy}, {a}});
-  cmd.reads = {&x, &y, &a};
-  cmd.writes = {&a};
   detail::verify_with<verify::RowSumCheck>(
       *this, cmd,
       [=, &x, &y, &a] {

@@ -1,7 +1,7 @@
 // Internal helpers shared by the host-API routine lowerings: DDR banks,
 // the solve-order and uplo-masked streamers, the reader/writer of a
 // module port (host/kinds.hpp), and the single-call builder every
-// Level-1/2 routine lowers through.
+// Level-1/2/3 routine lowers through.
 #pragma once
 
 #include <cstring>
@@ -73,12 +73,16 @@ stream::Task write_matrix_uplo(MatrixView<T> A, stream::TileSchedule sched,
 }
 
 /// Streams matrix rows in solve order, reversed for Upper solves (TRSM's
-/// B operand; a one-column view with ld = inc is a TRSV vector).
+/// B operand; a one-column view with ld = inc is a TRSV vector). With
+/// `trans` it streams the rows of B^T, B's columns, in place.
 template <typename T>
 stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
-                                   int width, stream::Channel<T>& out,
+                                   Transpose trans, int width,
+                                   stream::Channel<T>& out,
                                    stream::DramBank* bank = nullptr) {
-  const std::int64_t m = B.rows(), n = B.cols();
+  const bool t = trans == Transpose::Trans;
+  const std::int64_t m = t ? B.cols() : B.rows();
+  const std::int64_t n = t ? B.rows() : B.cols();
   int in_cycle = 0;
   for (std::int64_t s = 0; s < m; ++s) {
     const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
@@ -88,7 +92,7 @@ stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
           co_await stream::next_cycle();
         }
       }
-      co_await out.push(B(i, c));
+      co_await out.push(t ? B(c, i) : B(i, c));
       if (++in_cycle == width) {
         in_cycle = 0;
         co_await stream::next_cycle();
@@ -98,12 +102,16 @@ stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
   co_await stream::next_cycle();
 }
 
-/// Stores solve-order rows back in natural order (TRSM's X, TRSV's x).
+/// Stores solve-order rows back in natural order (TRSM's X, TRSV's x),
+/// with `trans` as the rows of X^T.
 template <typename T>
-stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
+stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo,
+                                    Transpose trans, int width,
                                     stream::Channel<T>& in,
                                     stream::DramBank* bank = nullptr) {
-  const std::int64_t m = X.rows(), n = X.cols();
+  const bool t = trans == Transpose::Trans;
+  const std::int64_t m = t ? X.cols() : X.rows();
+  const std::int64_t n = t ? X.rows() : X.cols();
   int in_cycle = 0;
   for (std::int64_t s = 0; s < m; ++s) {
     const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
@@ -114,7 +122,7 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
           co_await stream::next_cycle();
         }
       }
-      X(i, c) = v;
+      (t ? X(c, i) : X(i, c)) = v;
       if (++in_cycle == width) {
         in_cycle = 0;
         co_await stream::next_cycle();
@@ -125,6 +133,30 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
 
 using kinds::chan_cap;
 
+/// Steers an injected silent corruption of an n x n triangular output onto
+/// the written (`uplo`) triangle: the injector's raw byte draw is folded
+/// onto a triangle element and the damage lands on that element's last
+/// (sign/exponent) byte. Without this the draw can fall in the preserved
+/// opposite triangle, which the routine never writes — damage no checker
+/// could, or should, detect.
+inline std::uint64_t steer_triangular(Uplo uplo, std::int64_t n,
+                                      std::uint64_t elem, std::uint64_t raw,
+                                      std::uint64_t size) {
+  const std::uint64_t un = static_cast<std::uint64_t>(n);
+  const std::uint64_t tri = un * (un + 1) / 2;
+  if (tri == 0 || size == 0) return 0;
+  std::uint64_t t = (raw / elem) % tri;
+  // Row i of the triangle holds i+1 (Lower) or n-i (Upper) elements.
+  std::uint64_t i = 0;
+  for (std::uint64_t len = uplo == Uplo::Lower ? 1 : un; t >= len;
+       ++i, len = uplo == Uplo::Lower ? len + 1 : len - 1) {
+    t -= len;
+  }
+  const std::uint64_t j = uplo == Uplo::Lower ? t : i + t;
+  const std::uint64_t off = (i * un + j) * elem + (elem - 1);
+  return off < size ? off : size - 1;
+}
+
 /// A strided vector as the one-column matrix the solve-order streamers
 /// walk.
 template <typename T>
@@ -132,25 +164,35 @@ MatrixView<T> column(VectorView<T> v) {
   return MatrixView<T>(v.data(), v.size(), 1, v.inc());
 }
 
-/// The reader streaming port `p` of `buf` (strided by `inc`) into `out`.
+/// The reader streaming port `p` of `buf` (strided by `inc`) into `out`,
+/// `width` elements per cycle unless the port sets its own.
 template <typename T>
 stream::Task read_port(const kinds::Port& p, const Buffer<T>& buf,
                        std::int64_t inc, int width, stream::Channel<T>& out,
                        BankSet& banks) {
   stream::DramBank* bank = banks.at(buf.bank());
+  const int w = p.width > 0 ? p.width : width;
   switch (p.kind) {
     case kinds::PortKind::Matrix:
       return stream::read_matrix<T>(buf.cmat(p.rows, p.cols), p.sched,
-                                    p.repeat, width, out, bank);
+                                    p.repeat, w, out, bank);
     case kinds::PortKind::Triangular:
-      return core::read_triangular<T>(buf.cmat(p.rows, p.cols), p.uplo,
-                                      width, out, bank, p.trans);
+      return core::read_triangular<T>(buf.cmat(p.rows, p.cols), p.uplo, w,
+                                      out, bank, p.trans);
     case kinds::PortKind::SolveOrder:
-      return read_rows_solve_order<T>(column(buf.cvec(p.len, inc)), p.uplo,
-                                      width, out, bank);
+      return read_rows_solve_order<T>(
+          kinds::is_vector(p) ? column(buf.cvec(p.len, inc))
+                              : buf.cmat(p.rows, p.cols),
+          p.uplo, p.trans, w, out, bank);
+    case kinds::PortKind::PanelA:
+      return core::read_a_gemm<T>(buf.cmat(p.rows, p.cols), p.grid, p.len,
+                                  out, bank, p.trans);
+    case kinds::PortKind::PanelB:
+      return core::read_b_gemm<T>(buf.cmat(p.rows, p.cols), p.grid, p.len,
+                                  out, bank, p.trans);
     default:
-      return stream::read_vector<T>(buf.cvec(p.len, inc), p.repeat, width,
-                                    out, bank);
+      return stream::read_vector<T>(buf.cvec(p.len, inc), p.repeat, w, out,
+                                    bank);
   }
 }
 
@@ -160,19 +202,27 @@ stream::Task write_port(const kinds::Port& p, Buffer<T>& buf,
                         std::int64_t inc, int width, stream::Channel<T>& in,
                         BankSet& banks) {
   stream::DramBank* bank = banks.at(buf.bank());
+  const int w = p.width > 0 ? p.width : width;
   switch (p.kind) {
     case kinds::PortKind::Matrix:
-      return stream::write_matrix<T>(buf.mat(p.rows, p.cols), p.sched, width,
-                                     in, bank);
+      return stream::write_matrix<T>(buf.mat(p.rows, p.cols), p.sched, w, in,
+                                     bank);
     case kinds::PortKind::UploMatrix:
       return write_matrix_uplo<T>(buf.mat(p.rows, p.cols), p.sched, p.uplo,
-                                  width, in, bank);
+                                  w, in, bank);
+    case kinds::PortKind::TriangularC:
+      // One grant attempt per kept element, then the write either way: a
+      // refused grant costs one cycle, unlike write_matrix_uplo's wait.
+      return core::store_c_triangular<T>(buf.mat(p.rows, p.cols), p.grid,
+                                         p.uplo, in, bank);
     case kinds::PortKind::SolveOrder:
-      return write_rows_solve_order<T>(column(buf.vec(p.len, inc)), p.uplo,
-                                       width, in, bank);
+      return write_rows_solve_order<T>(
+          kinds::is_vector(p) ? column(buf.vec(p.len, inc))
+                              : buf.mat(p.rows, p.cols),
+          p.uplo, p.trans, w, in, bank);
     default:
-      return stream::write_vector<T>(buf.vec(p.len, inc), p.repeat, width,
-                                     in, bank);
+      return stream::write_vector<T>(buf.vec(p.len, inc), p.repeat, w, in,
+                                     bank);
   }
 }
 
@@ -190,6 +240,13 @@ struct Operand {
   Operand(Buffer<T>& b, std::int64_t i = 1) : in(&b), out(&b), inc(i) {}
   Operand(T* result) : scalar(result) {}
   Operand(std::int64_t* result) : index(result) {}
+
+  /// What hazards track it by: the buffer, or the host result.
+  const void* address() const {
+    if (in != nullptr) return in;
+    if (scalar != nullptr) return scalar;
+    return index;
+  }
 };
 
 /// Scalar and index results a single call's graph collects.
@@ -200,8 +257,8 @@ struct Results {
 };
 
 /// Spawns the graph of one call of `kind` into `g`: a channel per port
-/// (chan_cap(width) deep, results 2 deep), then readers, the module and
-/// writers in port order.
+/// (its depth, else chan_cap(width)), then readers (none for a port the
+/// module never reads), the module and writers in port order.
 template <typename T>
 void build_call(stream::Graph& g, BankSet& banks, RoutineKind kind,
                 const kinds::Call<T>& c, const std::vector<Operand<T>>& ops,
@@ -217,6 +274,7 @@ void build_call(stream::Graph& g, BankSet& banks, RoutineKind kind,
     const Operand<T>& o = ops[static_cast<std::size_t>(ports[p].operand)];
     auto& chan = static_cast<stream::Channel<T>&>(*ch[p]);
     if (p < inputs) {
+      if (ports[p].repeat == 0) continue;
       g.spawn(ports[p].io,
               read_port<T>(ports[p], *o.in, o.inc, c.width, chan, banks));
     } else if (ports[p].kind == kinds::PortKind::Scalar) {
@@ -233,14 +291,32 @@ void build_call(stream::Graph& g, BankSet& banks, RoutineKind kind,
   }
 }
 
+/// The clock a single call of `kind` runs at: its systolic grid's for the
+/// GEMM family, its module's for every other kind (TRSM included).
+template <typename T>
+double call_mhz(RoutineKind kind, const kinds::Call<T>& c,
+                const sim::DeviceSpec& dev) {
+  const Precision prec = PrecisionTraits<T>::value;
+  const bool grid = kind == RoutineKind::Gemm || kind == RoutineKind::Syrk ||
+                    kind == RoutineKind::Syr2k;
+  return (grid ? sim::gemm_frequency(c.pe_rows, c.pe_cols, prec, dev)
+               : sim::module_frequency(kind, prec, dev))
+      .mhz;
+}
+
 /// The command of one host call of `kind`. The operands' views are
-/// built now, so a bad length, stride or shape throws from the call
-/// (a ConfigError naming the routine and the operand); they also serve
-/// the command's refblas fallback (a Buffer never reallocates its
-/// storage, so they stay valid). The command's work runs build_call on
-/// the DDR banks at the kind's module clock through Context::run_graph.
-/// The call takes its vector width and tiling from the context's
-/// configuration, and its label from the routine's name.
+/// built now, so a bad length, stride or shape (or a systolic grid its
+/// tiles do not fit) throws from the call (a ConfigError naming the
+/// routine and the operand); they also serve the command's refblas
+/// fallback (a Buffer never reallocates its storage, so they stay
+/// valid). The ports also give the command's hazard sets, in operand
+/// order: an operand is read if an input port streams it and written if
+/// an output port does; and an output port storing one triangle steers
+/// injected silent corruption onto that triangle. The command's work
+/// runs build_call on the DDR banks at call_mhz through
+/// Context::run_graph. The call takes its vector width, tiling and
+/// systolic grid from the context's configuration, and its label from
+/// the routine's name.
 template <typename T>
 Command lower_call(Context& ctx, RoutineKind kind, kinds::Call<T> c,
                    std::vector<Operand<T>> ops) {
@@ -252,25 +328,34 @@ Command lower_call(Context& ctx, RoutineKind kind, kinds::Call<T> c,
   c.tiling = rc.tiling;
   c.tile_rows = rc.tile_rows;
   c.tile_cols = rc.tile_cols;
+  c.pe_rows = rc.pe_rows;
+  c.pe_cols = rc.pe_cols;
+  c.gemm_tile_rows = rc.gemm_tile_rows;
+  c.gemm_tile_cols = rc.gemm_tile_cols;
   const kinds::Kind<T>& k = kinds::kind_of<T>(kind);
   const auto inputs = static_cast<std::size_t>(routine_info(kind).inputs);
   std::vector<kinds::In<T>> in;
   std::vector<kinds::Out<T>> out;
+  std::vector<char> read(ops.size()), written(ops.size());
   for (const kinds::Port& p : k.ports(c)) {
-    const Operand<T>& o = ops[static_cast<std::size_t>(p.operand)];
+    const auto operand = static_cast<std::size_t>(p.operand);
+    const Operand<T>& o = ops[operand];
     try {
       if (in.size() < inputs) {
-        in.push_back(kinds::is_vector(p.kind)
+        read[operand] = 1;
+        in.push_back(kinds::is_vector(p)
                          ? kinds::In<T>{o.in->cvec(p.len, o.inc), {}}
                          : kinds::In<T>{{}, o.in->cmat(p.rows, p.cols)});
-      } else if (p.kind == kinds::PortKind::Matrix ||
-                 p.kind == kinds::PortKind::UploMatrix) {
-        out.push_back({{}, o.out->mat(p.rows, p.cols), nullptr, nullptr});
-      } else if (p.kind == kinds::PortKind::Scalar ||
-                 p.kind == kinds::PortKind::Index) {
+        continue;
+      }
+      written[operand] = 1;
+      if (p.kind == kinds::PortKind::Scalar ||
+          p.kind == kinds::PortKind::Index) {
         out.push_back({{}, {}, o.scalar, o.index});
-      } else {
+      } else if (kinds::is_vector(p)) {
         out.push_back({o.out->vec(p.len, o.inc), {}, nullptr, nullptr});
+      } else {
+        out.push_back({{}, o.out->mat(p.rows, p.cols), nullptr, nullptr});
       }
     } catch (const ConfigError& e) {
       // Readers and writers are named after their operand (read_x).
@@ -278,13 +363,21 @@ Command lower_call(Context& ctx, RoutineKind kind, kinds::Call<T> c,
       throw ConfigError(std::string(routine_info(kind).name) + ": operand " +
                         (name != nullptr ? name + 1 : p.io) + ": " + e.what());
     }
+    if (p.kind == kinds::PortKind::UploMatrix ||
+        p.kind == kinds::PortKind::TriangularC) {
+      cmd.corrupt_steer = [uplo = p.uplo, n = p.rows](std::uint64_t raw,
+                                                      std::uint64_t size) {
+        return steer_triangular(uplo, n, sizeof(T), raw, size);
+      };
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (read[i] != 0) cmd.reads.push_back(ops[i].address());
+    if (written[i] != 0) cmd.writes.push_back(ops[i].address());
   }
   cmd.work = [&ctx, kind, c, ops] {
     stream::Graph g(ctx.mode());
-    BankSet banks(g, ctx.device(),
-                  sim::module_frequency(kind, PrecisionTraits<T>::value,
-                                        ctx.device().spec())
-                      .mhz);
+    BankSet banks(g, ctx.device(), call_mhz(kind, c, ctx.device().spec()));
     Results<T> res;
     build_call<T>(g, banks, kind, c, ops, res);
     ctx.run_graph(g);

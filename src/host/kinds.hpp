@@ -1,4 +1,4 @@
-// The per-kind module table: one descriptor per Level-1/2 RoutineKind.
+// The per-kind module table: one descriptor per RoutineKind, all 22.
 //
 // A descriptor is everything the library knows about lowering one
 // routine kind to the stream layer:
@@ -6,18 +6,21 @@
 //   ports     the module's operand streams, inputs first, then outputs,
 //             each with how it meets DRAM (a strided vector replayed
 //             `repeat` times, a tiled matrix, a triangle in solve order,
-//             a solve-order vector, an uplo-masked matrix writer, or a
-//             scalar/index result)
+//             a solve-order vector or matrix, an uplo-masked matrix
+//             writer, a GEMM panel, a triangular C store, or a
+//             scalar/index result). The ports also say which operands a
+//             call reads and writes, and which triangle it owns.
 //   module    the only instantiation of the core:: module in the host
 //             and codegen layers
 //   fallback  the refblas reference, on operand views
 //   predict   (composable kinds only) the forward replay in double that
 //             predicts the module's output stream for verification
 //
-// Single host calls (host/detail.hpp: lower_call), compositions
-// (host/api_composed.cpp) and the codegen runner (codegen/runner.cpp)
-// all lower through this table. Adding a routine kind means one
-// descriptor here plus one RoutineInfo row in common/routines.cpp.
+// Single host calls of every level (host/detail.hpp: lower_call),
+// compositions (host/api_composed.cpp) and the codegen runner
+// (codegen/runner.cpp) all lower through this table. Adding a routine
+// kind means one descriptor here plus one RoutineInfo row in
+// common/routines.cpp.
 #pragma once
 
 #include <algorithm>
@@ -33,8 +36,10 @@
 #include "common/view.hpp"
 #include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
+#include "fblas/level3.hpp"
 #include "refblas/level1.hpp"
 #include "refblas/level2.hpp"
+#include "refblas/level3.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -45,8 +50,12 @@ enum class PortKind {
   Vector,      ///< strided vector, replayed `repeat` times
   Matrix,      ///< tiled matrix in `sched` order
   Triangular,  ///< the `uplo` triangle of an n x n op(A) in solve order
-  SolveOrder,  ///< vector in `uplo` solve order (reversed for Upper)
+  SolveOrder,  ///< vector or matrix rows in `uplo` solve order (reversed
+               ///< for Upper); with `trans`, the matrix's columns
   UploMatrix,  ///< tiled matrix writer storing only the `uplo` triangle
+  PanelA,      ///< op(X)'s column segments for every C tile (read_a_gemm)
+  PanelB,      ///< op(X)'s row segments for every C tile (read_b_gemm)
+  TriangularC, ///< GEMM-ordered C stored only in the `uplo` triangle
   Scalar,      ///< one value collected to the host
   Index,       ///< one index collected to the host
 };
@@ -57,18 +66,35 @@ struct Port {
   const char* channel = "";  ///< FIFO name in a single call
   const char* io = "";       ///< its reader / writer / collector's name
   int operand = 0;           ///< the call operand it reads or writes
-  std::int64_t len = 0;      ///< vector elements per pass; Triangular: n
-  std::int64_t rows = 0, cols = 0;
+  /// Vector elements per pass; Triangular: n; panels: C's columns
+  /// (PanelA) or rows (PanelB).
+  std::int64_t len = 0;
+  std::int64_t rows = 0, cols = 0;  ///< a matrix as stored
+  /// Passes over the stream; 0: the module never reads it, so it gets a
+  /// channel but no reader (GEMM's C when beta is 0).
   std::int64_t repeat = 1;
   stream::TileSchedule sched{};
-  Uplo uplo = Uplo::Lower;  ///< op(A)'s triangle; UploMatrix: stored one
-  Transpose trans = Transpose::None;  ///< Triangular: stream op(A)
-  std::int64_t depth = 0;             ///< FIFO depth; 0: chan_cap(width)
+  /// op(A)'s triangle; UploMatrix, TriangularC: the stored one.
+  Uplo uplo = Uplo::Lower;
+  /// Triangular, panels: stream op(X); SolveOrder: walk the columns.
+  Transpose trans = Transpose::None;
+  std::int64_t depth = 0;  ///< FIFO depth; 0: chan_cap(width)
+  int width = 0;           ///< elements per cycle; 0: the call's width
+  core::GemmConfig grid{};  ///< panels, TriangularC: the systolic grid
 };
 
-/// Whether port kind `k` streams a vector (else a matrix or a result).
-inline bool is_vector(PortKind k) {
-  return k == PortKind::Vector || k == PortKind::SolveOrder;
+/// Whether port `p` streams a vector (else a matrix or a result). A
+/// solve-order port without a shape is a vector (TRSV's b and x).
+inline bool is_vector(const Port& p) {
+  return p.kind == PortKind::Vector ||
+         (p.kind == PortKind::SolveOrder && p.rows == 0 && p.cols == 0);
+}
+
+inline Uplo flip(Uplo u) {
+  return u == Uplo::Lower ? Uplo::Upper : Uplo::Lower;
+}
+inline Transpose flip(Transpose t) {
+  return t == Transpose::None ? Transpose::Trans : Transpose::None;
 }
 
 /// Channel capacity of a lowered stream: deep enough for two width-
@@ -80,18 +106,24 @@ inline std::size_t chan_cap(int width) {
 /// Everything a module needs besides its channels.
 template <typename T>
 struct Call {
-  std::int64_t n = 0;               ///< vector length / TRSV, SYR order
-  std::int64_t rows = 0, cols = 0;  ///< A as stored (GEMV, GER)
-  T alpha = T(1), beta = T(0);      ///< alpha is SDSDOT's sb
-  T c = T(0), s = T(0);             ///< ROT
-  ref::RotmParam<T> param{};        ///< ROTM
-  Transpose trans = Transpose::None;
-  Uplo uplo = Uplo::Lower;  ///< the stored triangle
+  std::int64_t n = 0;  ///< vector length / TRSV, SYR order
+  /// A as stored (GEMV, GER); C (GEMM family); B (TRSM).
+  std::int64_t rows = 0, cols = 0;
+  std::int64_t k = 0;            ///< GEMM family: the contraction
+  T alpha = T(1), beta = T(0);  ///< alpha is SDSDOT's sb
+  T c = T(0), s = T(0);         ///< ROT
+  ref::RotmParam<T> param{};    ///< ROTM
+  Transpose trans = Transpose::None;    ///< op(A)
+  Transpose trans_b = Transpose::None;  ///< GEMM: op(B)
+  Uplo uplo = Uplo::Lower;              ///< the stored triangle
   Diag diag = Diag::NonUnit;
+  Side side = Side::Left;  ///< TRSM
   int width = 16;
   core::MatrixTiling tiling = core::MatrixTiling::TilesByRows;
   std::int64_t tile_rows = 256, tile_cols = 256;
   Order elem_order = Order::RowMajor;
+  int pe_rows = 4, pe_cols = 4;  ///< GEMM family: the systolic grid
+  std::int64_t gemm_tile_rows = 16, gemm_tile_cols = 16;
 
   core::GemvConfig gemv() const {
     return {trans, tiling, width, tile_rows, tile_cols, elem_order};
@@ -99,10 +131,21 @@ struct Call {
   core::GerConfig ger() const {
     return {tiling, width, tile_rows, tile_cols, elem_order};
   }
-  /// The triangle op(A) occupies: transposition flips it.
+  /// The systolic grid; a ConfigError when its tiles do not fit it.
+  core::GemmConfig gemm() const {
+    const core::GemmConfig g{pe_rows, pe_cols, gemm_tile_rows,
+                             gemm_tile_cols};
+    g.validate();
+    return g;
+  }
+  /// The transposition of the left-side solve: a right-side solve
+  /// X op(A) = B is the left-side solve op(A)^T X^T = B^T.
+  Transpose solve_trans() const {
+    return side == Side::Left ? trans : flip(trans);
+  }
+  /// The triangle op(A) occupies in that solve: transposition flips it.
   Uplo op_uplo() const {
-    if (trans == Transpose::None) return uplo;
-    return uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower;
+    return solve_trans() == Transpose::None ? uplo : flip(uplo);
   }
 };
 
@@ -306,8 +349,84 @@ std::vector<Port> rank_update_ports(const Call<T>& c, bool two) {
   return p;
 }
 
+/// A GEMM-family panel stream of the stored matrix whose op(X) (by
+/// `trans`) is op_rows x op_cols, for a C with `other` columns (PanelA)
+/// or rows (PanelB) on grid `g`.
+inline Port panel(PortKind kind, const char* channel, const char* io,
+                  int operand, std::int64_t op_rows, std::int64_t op_cols,
+                  Transpose trans, std::int64_t other,
+                  const core::GemmConfig& g) {
+  const bool t = trans == Transpose::Trans;
+  Port p = mat(kind, channel, io, operand, t ? op_cols : op_rows,
+               t ? op_rows : op_cols, {});
+  p.len = other;
+  p.trans = trans;
+  p.grid = g;
+  p.depth = static_cast<std::int64_t>(
+      chan_cap((kind == PortKind::PanelA ? g.pe_rows : g.pe_cols) * 4));
+  return p;
+}
+
+/// C of a GEMM-family call on grid `g`, in the drain's tile order at
+/// pe_cols elements per cycle.
 template <typename T>
-constexpr std::array<Kind<T>, 18> table() {
+Port c_port(const Call<T>& c, PortKind kind, const char* channel,
+            const char* io, int operand, const core::GemmConfig& g) {
+  Port p = mat(kind, channel, io, operand, c.rows, c.cols,
+               core::gemm_c_schedule(g));
+  p.uplo = c.uplo;
+  p.width = g.pe_cols;
+  p.grid = g;
+  p.depth = static_cast<std::int64_t>(chan_cap(g.pe_cols * 4));
+  return p;
+}
+
+/// The GEMM family's `panels`, then C (operand `operand`) in, a channel
+/// without a reader when beta is 0, then C out, whole or (`out` ==
+/// TriangularC) only its `uplo` triangle.
+template <typename T>
+std::vector<Port> with_c(const Call<T>& c, std::vector<Port> panels,
+                         int operand, PortKind out,
+                         const core::GemmConfig& g) {
+  Port in = c_port(c, PortKind::Matrix, "Cin", "read_C", operand, g);
+  if (c.beta == T(0)) in.repeat = 0;
+  panels.push_back(in);
+  panels.push_back(c_port(c, out, "out", "store_C", operand, g));
+  return panels;
+}
+
+/// A (and B) as op(A)'s column segments, then as op(A)^T's row segments,
+/// then C's `uplo` triangle (SYRK, SYR2K; the operands are A, (B,) C).
+template <typename T>
+std::vector<Port> rank_k_ports(const Call<T>& c, bool two) {
+  const core::GemmConfig g = c.gemm();
+  const Transpose t = flip(c.trans);
+  std::vector<Port> p{panel(PortKind::PanelA, two ? "Acol" : "A", "read_A",
+                            0, c.rows, c.k, c.trans, c.cols, g)};
+  if (two) {
+    p.push_back(panel(PortKind::PanelA, "Bcol", "read_B", 1, c.rows, c.k,
+                      c.trans, c.cols, g));
+  }
+  p.push_back(panel(PortKind::PanelB, two ? "Atrow" : "At", "read_At", 0,
+                    c.k, c.cols, t, c.rows, g));
+  if (two) {
+    p.push_back(panel(PortKind::PanelB, "Btrow", "read_Bt", 1, c.k, c.cols,
+                      t, c.rows, g));
+  }
+  return with_c(c, std::move(p), two ? 2 : 1, PortKind::TriangularC, g);
+}
+
+/// The GEMM module, C = alpha op(A) op(B) + beta C for a rows x cols C;
+/// SYRK runs it with op(B) = op(A)^T.
+template <typename T>
+stream::Task gemm_module(const Call<T>& c, stream::ChannelBase* const* ch) {
+  return core::gemm<T>(c.gemm(), c.rows, c.cols, c.k, c.alpha, c.beta,
+                       at<T>(ch, 0), at<T>(ch, 1), at<T>(ch, 2),
+                       at<T>(ch, 3));
+}
+
+template <typename T>
+constexpr std::array<Kind<T>, kRoutineCount> table() {
   using C = const Call<T>&;
   using Ch = stream::ChannelBase* const*;
   using Ins = const In<T>*;
@@ -603,21 +722,82 @@ constexpr std::array<Kind<T>, 18> table() {
          ref::syr2(c.uplo, c.alpha, i[1].v, i[3].v, o[0].m);
        },
        nullptr},
+      // Gemm: C = alpha op(A) op(B) + beta C (operands A, B, C)
+      {[](C c) {
+         const core::GemmConfig g = c.gemm();
+         return with_c(c,
+                       {panel(PortKind::PanelA, "A", "read_A", 0, c.rows, c.k,
+                              c.trans, c.cols, g),
+                        panel(PortKind::PanelB, "B", "read_B", 1, c.k, c.cols,
+                              c.trans_b, c.rows, g)},
+                       2, PortKind::Matrix, g);
+       },
+       gemm_module<T>,
+       [](C c, Ins i, Outs o) {
+         ref::gemm(c.trans, c.trans_b, c.alpha, i[0].m, i[1].m, c.beta,
+                   o[0].m);
+       },
+       nullptr},
+      // Syrk: the uplo triangle of C = alpha op(A) op(A)^T + beta C, on
+      // the GEMM module (Sec. VI: specialized routines are implemented in
+      // terms of the generic ones)
+      {[](C c) { return rank_k_ports(c, false); }, gemm_module<T>,
+       [](C c, Ins i, Outs o) {
+         ref::syrk(c.uplo, c.trans, c.alpha, i[0].m, c.beta, o[0].m);
+       },
+       nullptr},
+      // Syr2k: the uplo triangle of
+      // C = alpha (op(A) op(B)^T + op(B) op(A)^T) + beta C
+      {[](C c) { return rank_k_ports(c, true); },
+       [](C c, Ch k) {
+         return core::syr2k<T>(c.gemm(), c.rows, c.k, c.alpha, c.beta,
+                               at<T>(k, 0), at<T>(k, 1), at<T>(k, 2),
+                               at<T>(k, 3), at<T>(k, 4), at<T>(k, 5));
+       },
+       [](C c, Ins i, Outs o) {
+         ref::syr2k(c.uplo, c.trans, c.alpha, i[0].m, i[1].m, c.beta,
+                    o[0].m);
+       },
+       nullptr},
+      // Trsm: solves op(A) X = alpha B (left) or X op(A) = alpha B (right)
+      // for a rows x cols B, overwritten by X. The right side is the left
+      // solve of op(A)^T X^T = alpha B^T: B and X stream transposed.
+      {[](C c) {
+         const bool left = c.side == Side::Left;
+         const Uplo tri = c.op_uplo();
+         Port b = ordered(PortKind::SolveOrder, "B", "read_B", 1, 0, tri,
+                          left ? Transpose::None : Transpose::Trans);
+         b.rows = c.rows;
+         b.cols = c.cols;
+         Port x = b;
+         x.channel = "X";
+         x.io = "write_X";
+         return std::vector<Port>{
+             ordered(PortKind::Triangular, "A", "read_A", 0,
+                     left ? c.rows : c.cols, tri, c.solve_trans()),
+             b, x};
+       },
+       [](C c, Ch k) {
+         const bool left = c.side == Side::Left;
+         return core::trsm<T>({c.op_uplo(), c.diag, c.width},
+                              left ? c.rows : c.cols, left ? c.cols : c.rows,
+                              c.alpha, at<T>(k, 0), at<T>(k, 1), at<T>(k, 2));
+       },
+       [](C c, Ins i, Outs o) {
+         ref::trsm(c.side, c.uplo, c.trans, c.diag, c.alpha, i[0].m, o[0].m);
+       },
+       nullptr},
   }};
 }
 
 }  // namespace detail
 
-/// The descriptor of `kind`; a ConfigError for kinds outside Levels 1-2.
+/// The descriptor of `kind`.
 template <typename T>
 const Kind<T>& kind_of(RoutineKind kind) {
-  static constexpr std::array<Kind<T>, 18> kTable = detail::table<T>();
-  const auto i = static_cast<std::size_t>(kind);
-  if (i >= kTable.size()) {
-    throw ConfigError(std::string(routine_info(kind).name) +
-                      " has no Level-1/2 module descriptor");
-  }
-  return kTable[i];
+  static constexpr std::array<Kind<T>, kRoutineCount> kTable =
+      detail::table<T>();
+  return kTable[static_cast<std::size_t>(kind)];
 }
 
 /// One channel per port of a single call, in port order.

@@ -77,16 +77,11 @@ class ChannelBase {
   // --- checksum tap (streaming ABFT) ------------------------------------
   /// Arms a running checksum over every floating-point value pushed into
   /// this channel: sum, magnitude (sum of absolute values) and element
-  /// count. With `weights` set, the k-th pushed value is weighted by
-  /// weights[k % weights.size()] — a Huang–Abraham weighted checksum.
-  /// The weights vector must outlive the run. Costs nothing unless armed.
-  void arm_tap(const std::vector<double>* weights = nullptr) {
+  /// count. Costs nothing unless armed.
+  void arm_tap() {
     tap_armed_ = true;
-    tap_weights_ =
-        (weights != nullptr && !weights->empty()) ? weights : nullptr;
     tap_sum_ = tap_mag_ = 0.0;
     tap_count_ = 0;
-    tap_next_ = 0;
   }
   bool tap_armed() const { return tap_armed_; }
   double tap_sum() const { return tap_sum_; }
@@ -111,18 +106,12 @@ class ChannelBase {
   void wake_consumer();
   void wake_producer();
 
-  /// Folds `n` pushed values into the tap, in push order. The weight
-  /// cursor wraps instead of taking `tap_count_ % weights.size()`.
+  /// Folds `n` pushed values into the tap, in push order.
   template <typename T>
   void tap_accumulate(const T* v, std::size_t n) {
     double sum = tap_sum_, mag = tap_mag_;
-    std::size_t next = tap_next_;
     for (std::size_t i = 0; i < n; ++i) {
-      double d = static_cast<double>(v[i]);
-      if (tap_weights_ != nullptr) {
-        d = (*tap_weights_)[next] * d;
-        if (++next == tap_weights_->size()) next = 0;
-      }
+      const double d = static_cast<double>(v[i]);
       sum += d;
       // |d| exactly as `d < 0 ? -d : d` (a NaN or -0.0 keeps its sign),
       // without the branch a random sign would mispredict.
@@ -131,7 +120,6 @@ class ChannelBase {
     }
     tap_sum_ = sum;
     tap_mag_ = mag;
-    tap_next_ = next;
     tap_count_ += n;
   }
 
@@ -153,8 +141,6 @@ class ChannelBase {
   double tap_sum_ = 0.0;
   double tap_mag_ = 0.0;
   std::uint64_t tap_count_ = 0;
-  std::size_t tap_next_ = 0;  // index into *tap_weights_
-  const std::vector<double>* tap_weights_ = nullptr;
 
   friend struct PopWait;
   friend struct PushWait;

@@ -27,6 +27,8 @@
 #include "host/buffer.hpp"
 #include "host/composition.hpp"
 #include "host/context.hpp"
+#include "refblas/level1.hpp"
+#include "refblas/level2.hpp"
 #include "verify/options.hpp"
 
 namespace fblas {
@@ -432,6 +434,94 @@ TEST(ComposeGolden, TrsvPredictionBits) {
       "2a06ab494ee686f", "ffc898bef2b8d704",
   };
   EXPECT_EQ(got, want);
+}
+
+TEST(ComposeCompiler, UpperTrsvStreamsOnlyOnDirectEdges) {
+  // An Upper solve (of op(A)) takes b and leaves x in reverse order. Only
+  // a reader or writer on an uncut edge straight at the solver's port
+  // streams that order; a SCAL on b or on x, or b fanned out to a second
+  // consumer, would stream natural order into a solve that expects it
+  // reversed, and checksums cannot see a permutation. Such compositions
+  // are refused at enqueue, naming the edge; every Lower one, and the
+  // direct Upper one, match refblas.
+  constexpr std::int64_t n = 8;
+  constexpr float alpha = -1.25f;
+  enum class Route { Direct, ScaledB, ScaledX, FannedB };
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+      for (const Route route : {Route::Direct, Route::ScaledB,
+                                Route::ScaledX, Route::FannedB}) {
+        Workload wl(21);
+        const auto ha = wl.triangular<float>(n, uplo, Diag::NonUnit);
+        const auto hb = wl.vector<float>(n);
+        host::Device dev;
+        host::Context ctx(dev);
+        host::Buffer<float> a(dev, n * n, 0), b(dev, n, 1), x(dev, n, 2),
+            y(dev, n, 3);
+        a.write(ha);
+        b.write(hb);
+        host::Composition<float> c("trsv");
+        const int ra = c.input_triangular("read_A", a, uplo, trans);
+        const int rb = c.input("read_b", b);
+        const int wx = c.output("write_x", x);
+        const int tr = c.trsv("trsv", uplo, trans, Diag::NonUnit);
+        const auto vec = mdag::StreamSig::vec(n);
+        c.connect(ra, tr, mdag::StreamSig::vec(n * (n + 1) / 2));
+        std::string edge;
+        if (route == Route::ScaledB) {
+          const int sc = c.scal("scal", alpha);
+          c.connect(rb, sc, vec);
+          c.connect(sc, tr, vec);
+          c.connect(tr, wx, vec);
+          edge = "scal->trsv";
+        } else if (route == Route::ScaledX) {
+          const int sc = c.scal("scal", alpha);
+          c.connect(rb, tr, vec);
+          c.connect(tr, sc, vec);
+          c.connect(sc, wx, vec);
+          edge = "trsv->scal";
+        } else {
+          c.connect(rb, tr, vec);
+          c.connect(tr, wx, vec);
+          edge = "read_b->trsv";
+          if (route == Route::FannedB) {
+            const int sc = c.scal("scal", alpha);
+            c.connect(rb, sc, vec);
+            c.connect(sc, c.output("write_y", y), vec);
+          }
+        }
+        const bool upper = (uplo == Uplo::Upper) == (trans == Transpose::None);
+        if (upper && route != Route::Direct) {
+          try {
+            ctx.run_composition_async(c);
+            ADD_FAILURE() << "expected ConfigError naming " << edge;
+          } catch (const ConfigError& err) {
+            EXPECT_NE(std::string(err.what()).find(edge), std::string::npos)
+                << err.what();
+          }
+          ctx.finish();
+          EXPECT_EQ(ctx.exec_stats().executed, 0u);
+          continue;
+        }
+        ctx.run_composition(c);
+        std::vector<float> want = hb;
+        VectorView<float> wv(want.data(), n);
+        if (route == Route::ScaledB) ref::scal(alpha, wv);
+        ref::trsv(uplo, trans, Diag::NonUnit,
+                  MatrixView<const float>(ha.data(), n, n), wv);
+        if (route == Route::ScaledX) ref::scal(alpha, wv);
+        const auto got = x.to_host();
+        for (std::int64_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(got[i], want[i], 1e-4f * (1.0f + std::abs(want[i])))
+              << "i=" << i;
+        }
+        if (route == Route::FannedB) {
+          const auto gy = y.to_host();
+          for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(gy[i], alpha * hb[i]);
+        }
+      }
+    }
+  }
 }
 
 // --- Pinned channel depths --------------------------------------------------

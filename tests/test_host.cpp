@@ -104,6 +104,15 @@ TEST(AsyncQueue, BadOperandThrowsAtTheCallAndQueuesNothing) {
   });
   EXPECT_NE(gemv.find("gemv"), std::string::npos) << gemv;
   EXPECT_NE(gemv.find("operand A"), std::string::npos) << gemv;
+  // A systolic grid the compute tile is no multiple of (TC = 16, PC = 3).
+  ctx.config().pe_cols = 3;
+  const std::string gemm = message([&] {
+    ctx.gemm_async<float>(Transpose::None, Transpose::None, 8, 8, 8, 1.0f, a,
+                          a, 0.0f, a);
+  });
+  EXPECT_NE(gemm.find("TC must be a multiple of PC"), std::string::npos)
+      << gemm;
+  ctx.config().pe_cols = 4;
   EXPECT_TRUE(ctx.idle());
   ctx.finish();
   EXPECT_EQ(rec->metrics().enqueued, 0u);

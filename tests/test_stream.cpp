@@ -1618,59 +1618,51 @@ TEST(BurstExactness, MidBurstNonFiniteKeepsTaintProvenance) {
 }
 
 TEST(Channel, BurstTapMatchesPerElementTap) {
-  // Weighted checksum taps: bursts of uneven length must fold the same
-  // weights in the same order as single pushes, bit for bit, and
-  // re-arming restarts the weight cursor.
-  const std::vector<double> weights{0.5, -1.25, 3.0, 0.0, -0.0, 7.5, 1e-3};
+  // Checksum taps: bursts of uneven length must fold the same values in
+  // the same order as single pushes, bit for bit, and re-arming restarts
+  // the tap.
   std::vector<float> data = Workload(9).vector<float>(101, -4.0, 4.0);
   data[17] = -0.0f;
-  for (int round = 0; round < 2; ++round) {
-    Graph g;
-    auto& one = g.channel<float>("one", 100);
-    auto& many = g.channel<float>("many", 100);
-    one.arm_tap(&weights);
-    many.arm_tap(&weights);
-    float sinkv[16];
-    std::size_t k = 0;
-    for (std::size_t len = 1; k < data.size(); len = len % 13 + 1) {
-      const std::size_t n = std::min(len, data.size() - k);
-      for (std::size_t e = 0; e < n; ++e) ASSERT_TRUE(one.try_put(data[k + e]));
-      ASSERT_EQ(many.try_put_n(data.data() + k, n), n);
-      ASSERT_EQ(one.try_take_n(sinkv, 16), n);
-      ASSERT_EQ(many.try_take_n(sinkv, 16), n);
-      k += n;
-    }
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_sum()),
-              std::bit_cast<std::uint64_t>(one.tap_sum()));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_mag()),
-              std::bit_cast<std::uint64_t>(one.tap_mag()));
-    EXPECT_EQ(many.tap_count(), data.size());
-    // The reference weighting, k-th value times weights[k % 7].
-    double sum = 0, mag = 0;
-    for (std::size_t e = 0; e < data.size(); ++e) {
-      const double d = weights[e % weights.size()] * data[e];
-      sum += d;
-      mag += d < 0 ? -d : d;
-    }
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_sum()),
-              std::bit_cast<std::uint64_t>(sum));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_mag()),
-              std::bit_cast<std::uint64_t>(mag));
-    // Round 1 drops 3 values, so the bursts straddle the weight period
-    // at other points.
-    data.erase(data.begin(), data.begin() + 3);
-  }
-  // Re-arming after a burst restarts the weights at weights[0].
   Graph g;
+  auto& one = g.channel<float>("one", 100);
+  auto& many = g.channel<float>("many", 100);
+  one.arm_tap();
+  many.arm_tap();
+  float sinkv[16];
+  std::size_t k = 0;
+  for (std::size_t len = 1; k < data.size(); len = len % 13 + 1) {
+    const std::size_t n = std::min(len, data.size() - k);
+    for (std::size_t e = 0; e < n; ++e) ASSERT_TRUE(one.try_put(data[k + e]));
+    ASSERT_EQ(many.try_put_n(data.data() + k, n), n);
+    ASSERT_EQ(one.try_take_n(sinkv, 16), n);
+    ASSERT_EQ(many.try_take_n(sinkv, 16), n);
+    k += n;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_sum()),
+            std::bit_cast<std::uint64_t>(one.tap_sum()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_mag()),
+            std::bit_cast<std::uint64_t>(one.tap_mag()));
+  EXPECT_EQ(many.tap_count(), data.size());
+  // The reference: the values summed in push order.
+  double sum = 0, mag = 0;
+  for (const float v : data) {
+    sum += v;
+    mag += v < 0 ? -static_cast<double>(v) : v;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_sum()),
+            std::bit_cast<std::uint64_t>(sum));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(many.tap_mag()),
+            std::bit_cast<std::uint64_t>(mag));
+  // Re-arming after a burst starts the tap afresh.
   auto& ch = g.channel<float>("rearm", 8);
   const float v[3] = {1.0f, 2.0f, 4.0f};
-  ch.arm_tap(&weights);
+  ch.arm_tap();
   ASSERT_EQ(ch.try_put_n(v, 3), 3u);
-  ch.arm_tap(&weights);
+  ch.arm_tap();
   float out[3];
   ASSERT_EQ(ch.try_take_n(out, 3), 3u);
   ASSERT_EQ(ch.try_put_n(v, 2), 2u);
-  EXPECT_EQ(ch.tap_sum(), 0.5 * 1.0 + -1.25 * 2.0);
+  EXPECT_EQ(ch.tap_sum(), 1.0 + 2.0);
   EXPECT_EQ(ch.tap_count(), 2u);
 }
 
@@ -2101,7 +2093,7 @@ TEST(StreamGolden, SeededRandomGraphs) {
 
 // ---- Host routine pins ----------------------------------------------------
 //
-// Every Level-1/2 host routine as a user calls it: the graph the host API
+// Every host routine as a user calls it: the graph the host API
 // builds, run through Context::run_graph with engine tracing on. Each line
 // pins the command's cycles, the GraphStats event (cycles / module-cycles
 // stalled), every ChannelStats event (name, peak, stalls, capacity) folded
@@ -2357,19 +2349,140 @@ std::string host_pin(const HostCase<T>& c, Mode mode) {
   return os.str();
 }
 
+/// Level 3 as a user calls it, on a 4 x 4 grid of 8 x 12 compute tiles
+/// with shapes ragged against them: GEMM in all four transpositions with
+/// beta zero (C gets a channel but no reader) and not, SYRK and SYR2K in
+/// both triangles and transpositions, and all 16 TRSM variants. The
+/// bank0 cases put every operand on bank 0 under a 4 x 16 grid, where the
+/// triangular store's one-shot bank grant shows in the cycles. Recorded
+/// while Level 3 still had hand-built graphs.
 template <typename T>
-std::vector<std::string> host_pins(Mode mode) {
+std::vector<HostCase<T>> level3_cases() {
+  using host::Buffer;
+  using host::Context;
+  using host::Device;
+  std::vector<HostCase<T>> cs;
+  constexpr std::int64_t m = 21, n = 19, k = 11;
+  const auto load = [](Device& dev, std::vector<T> host, int bank) {
+    auto b = std::make_unique<Buffer<T>>(
+        dev, static_cast<std::int64_t>(host.size()), bank);
+    b->write(host);
+    return b;
+  };
+  const auto level3 = [&](std::string name, auto call) {
+    cs.push_back({name, [=](Context& ctx, Device& dev) {
+                    ctx.config().gemm_tile_rows = 8;
+                    ctx.config().gemm_tile_cols = 12;
+                    return call(ctx, dev);
+                  }});
+  };
+  const auto t = [](Transpose x) { return x == Transpose::None ? "N" : "T"; };
+  const auto u = [](Uplo x) { return x == Uplo::Lower ? "L" : "U"; };
+  for (const Transpose ta : {Transpose::None, Transpose::Trans}) {
+    for (const Transpose tb : {Transpose::None, Transpose::Trans}) {
+      for (const T beta : {T(0), T(0.5)}) {
+        level3(std::string("gemm/") + t(ta) + t(tb) +
+                   (beta == T(0) ? "/b0" : ""),
+               [=](Context& ctx, Device& dev) {
+                 auto a = load(dev, Workload(80).matrix<T>(m, k), 0);
+                 auto b = load(dev, Workload(81).matrix<T>(k, n), 1);
+                 auto c = load(dev, Workload(82).matrix<T>(m, n), 2);
+                 ctx.gemm(ta, tb, m, n, k, T(1.25), *a, *b, beta, *c);
+                 return words(c->to_host());
+               });
+      }
+    }
+  }
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+      const std::string sfx = std::string("/") + u(uplo) + t(trans);
+      level3("syrk" + sfx, [=](Context& ctx, Device& dev) {
+        auto a = load(dev, Workload(83).matrix<T>(n, k), 0);
+        auto c = load(dev, Workload(84).matrix<T>(n, n), 2);
+        ctx.syrk(uplo, trans, n, k, T(-0.75), *a, T(0.5), *c);
+        return words(c->to_host());
+      });
+      level3("syr2k" + sfx, [=](Context& ctx, Device& dev) {
+        auto a = load(dev, Workload(85).matrix<T>(n, k), 0);
+        auto b = load(dev, Workload(86).matrix<T>(n, k), 1);
+        auto c = load(dev, Workload(87).matrix<T>(n, n), 3);
+        ctx.syr2k(uplo, trans, n, k, T(0.625), *a, *b, T(-1.5), *c);
+        return words(c->to_host());
+      });
+    }
+  }
+  level3("syrk/LN/b0", [=](Context& ctx, Device& dev) {
+    auto a = load(dev, Workload(83).matrix<T>(n, k), 0);
+    auto c = load(dev, Workload(84).matrix<T>(n, n), 2);
+    ctx.syrk(Uplo::Lower, Transpose::None, n, k, T(-0.75), *a, T(0), *c);
+    return words(c->to_host());
+  });
+  for (const Side side : {Side::Left, Side::Right}) {
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+        for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          const std::string name =
+              std::string("trsm/") + (side == Side::Left ? "L" : "R") +
+              u(uplo) + t(trans) + (diag == Diag::Unit ? "U" : "N");
+          level3(name, [=](Context& ctx, Device& dev) {
+            const std::int64_t ad = side == Side::Left ? m : n;
+            auto a = load(dev, Workload(88).triangular<T>(ad, uplo, diag), 0);
+            auto b = load(dev, Workload(89).matrix<T>(m, n), 1);
+            ctx.trsm(side, uplo, trans, diag, m, n, T(1.5), *a, *b);
+            return words(b->to_host());
+          });
+        }
+      }
+    }
+  }
+  constexpr std::int64_t cn = 17, ck = 5;
+  const auto bank0 = [&](std::string name, auto call) {
+    cs.push_back({name + "/bank0", [=](Context& ctx, Device& dev) {
+                    ctx.config().pe_rows = 4;
+                    ctx.config().pe_cols = 16;
+                    return call(ctx, dev);
+                  }});
+  };
+  bank0("syrk", [=](Context& ctx, Device& dev) {
+    auto a = load(dev, Workload(90).matrix<T>(cn, ck), 0);
+    auto c = load(dev, Workload(91).matrix<T>(cn, cn), 0);
+    ctx.syrk(Uplo::Lower, Transpose::None, cn, ck, T(1.25), *a, T(0.5), *c);
+    return words(c->to_host());
+  });
+  bank0("syr2k", [=](Context& ctx, Device& dev) {
+    auto a = load(dev, Workload(90).matrix<T>(cn, ck), 0);
+    auto b = load(dev, Workload(92).matrix<T>(cn, ck), 0);
+    auto c = load(dev, Workload(91).matrix<T>(cn, cn), 0);
+    ctx.syr2k(Uplo::Upper, Transpose::None, cn, ck, T(0.5), *a, *b, T(0.9),
+              *c);
+    return words(c->to_host());
+  });
+  bank0("gemm", [=](Context& ctx, Device& dev) {
+    auto a = load(dev, Workload(90).matrix<T>(cn, ck), 0);
+    auto b = load(dev, Workload(92).matrix<T>(ck, cn), 0);
+    auto c = load(dev, Workload(91).matrix<T>(cn, cn), 0);
+    ctx.gemm(Transpose::None, Transpose::None, cn, cn, ck, T(0.5), *a, *b,
+             T(0.9), *c);
+    return words(c->to_host());
+  });
+  return cs;
+}
+
+template <typename T>
+std::vector<std::string> host_pins(
+    Mode mode, const std::vector<HostCase<T>>& cases = host_cases<T>()) {
   std::vector<std::string> got;
-  for (const auto& c : host_cases<T>()) got.push_back(host_pin(c, mode));
+  for (const auto& c : cases) got.push_back(host_pin(c, mode));
   return got;
 }
 
 /// The channel an armed corruption lands on, per routine (single
 /// precision, cycle mode, unit strides): the first injector seed whose
 /// draw reaches a push, and the victim it records.
-std::vector<std::string> victim_pins() {
+std::vector<std::string> victim_pins(
+    const std::vector<HostCase<float>>& cases = host_cases<float>()) {
   std::vector<std::string> got;
-  for (const auto& c : host_cases<float>()) {
+  for (const auto& c : cases) {
     if (c.name.find("/strided") != std::string::npos || c.name == "rotg" ||
         c.name == "rotmg") {
       continue;  // the scalar setup routines run outside any command
@@ -2674,6 +2787,211 @@ TEST(HostGolden, CorruptionVictims) { expect_lines(victim_pins(),
                    "syr/U seed=1 victim=out",
                    "syr2/U seed=1 victim=A",
                }); }
+TEST(HostGolden, Level3FloatCycle) {
+  expect_lines(host_pins<float>(Mode::Cycle, level3_cases<float>()),
+               {
+                   "gemm/NN/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=d77a18814206e2b0",
+                   "gemm/NN cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=3f0ea6b996f591ab",
+                   "gemm/NT/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=45f3c346bd0d71c2",
+                   "gemm/NT cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=cf053ce852f5189e",
+                   "gemm/TN/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=f818a671297e4cb",
+                   "gemm/TN cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=5914bc632d3a6fc4",
+                   "gemm/TT/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=8c037222f58ba06e",
+                   "gemm/TT cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=2e448ff07328dfc3",
+                   "syrk/LN cycles=344 graph=344/809 chans=4:4d03767066834edd out=9922881aa58fa69e",
+                   "syr2k/LN cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=3207a1ddef8e58f8",
+                   "syrk/LT cycles=344 graph=344/809 chans=4:4d03767066834edd out=2ad06c66d193141a",
+                   "syr2k/LT cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=c03fbdf343fe3342",
+                   "syrk/UN cycles=344 graph=344/809 chans=4:4d03767066834edd out=ef574e170f7b0f5e",
+                   "syr2k/UN cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=d0774b0ee3f0171c",
+                   "syrk/UT cycles=344 graph=344/809 chans=4:4d03767066834edd out=353e08df25841d71",
+                   "syr2k/UT cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=85873f0777fc4fa1",
+                   "syrk/LN/b0 cycles=344 graph=344/612 chans=4:c627e04c2d8b2999 out=afdcb66de30b5ba3",
+                   "trsm/LLNN cycles=301 graph=301/631 chans=3:2ed6c14e31e80a90 out=a51ae6048a5c02f9",
+                   "trsm/LLNU cycles=301 graph=301/631 chans=3:2ed6c14e31e80a90 out=a5b57252bbe1bdda",
+                   "trsm/LLTN cycles=301 graph=301/630 chans=3:be66d4d498192f81 out=bf13cf5b301f21f4",
+                   "trsm/LLTU cycles=301 graph=301/630 chans=3:be66d4d498192f81 out=a2cc2e43dd7167a0",
+                   "trsm/LUNN cycles=301 graph=301/630 chans=3:be66d4d498192f81 out=a8e9397f49d88a1e",
+                   "trsm/LUNU cycles=301 graph=301/630 chans=3:be66d4d498192f81 out=a530c53907f94784",
+                   "trsm/LUTN cycles=301 graph=301/631 chans=3:2ed6c14e31e80a90 out=517069852f1d0172",
+                   "trsm/LUTU cycles=301 graph=301/631 chans=3:2ed6c14e31e80a90 out=72a2dd4e28f90e18",
+                   "trsm/RLNN cycles=276 graph=276/548 chans=3:506ea94a2091862 out=43f6aef225c5ddeb",
+                   "trsm/RLNU cycles=276 graph=276/548 chans=3:506ea94a2091862 out=3beff8f98b2d99e3",
+                   "trsm/RLTN cycles=276 graph=276/550 chans=3:f6df19797f40437c out=e8ee29899c50565a",
+                   "trsm/RLTU cycles=276 graph=276/550 chans=3:f6df19797f40437c out=2d2bbaf269487207",
+                   "trsm/RUNN cycles=276 graph=276/550 chans=3:f6df19797f40437c out=642be1984ba658a4",
+                   "trsm/RUNU cycles=276 graph=276/550 chans=3:f6df19797f40437c out=9b7d8b9d93fd38db",
+                   "trsm/RUTN cycles=276 graph=276/548 chans=3:506ea94a2091862 out=89a97da45642b9de",
+                   "trsm/RUTU cycles=276 graph=276/548 chans=3:506ea94a2091862 out=1b52c0a1326550b0",
+                   "syrk/bank0 cycles=51 graph=51/36 chans=4:634b9ab149843736 out=38dd9cf890ace192",
+                   "syr2k/bank0 cycles=71 graph=71/117 chans=6:c829ea633e41bc3b out=a3e32517b4a3e7ba",
+                   "gemm/bank0 cycles=60 graph=60/33 chans=4:a271cdd420eaeba3 out=c6ccbb9148dcd064",
+               });
+}
+TEST(HostGolden, Level3FloatFunctional) {
+  expect_lines(host_pins<float>(Mode::Functional, level3_cases<float>()),
+               {
+                   "gemm/NN/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=d77a18814206e2b0",
+                   "gemm/NN cycles=0 graph=0/0 chans=4:662093858de93713 out=3f0ea6b996f591ab",
+                   "gemm/NT/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=45f3c346bd0d71c2",
+                   "gemm/NT cycles=0 graph=0/0 chans=4:662093858de93713 out=cf053ce852f5189e",
+                   "gemm/TN/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=f818a671297e4cb",
+                   "gemm/TN cycles=0 graph=0/0 chans=4:662093858de93713 out=5914bc632d3a6fc4",
+                   "gemm/TT/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=8c037222f58ba06e",
+                   "gemm/TT cycles=0 graph=0/0 chans=4:662093858de93713 out=2e448ff07328dfc3",
+                   "syrk/LN cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=9922881aa58fa69e",
+                   "syr2k/LN cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=3207a1ddef8e58f8",
+                   "syrk/LT cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=2ad06c66d193141a",
+                   "syr2k/LT cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=c03fbdf343fe3342",
+                   "syrk/UN cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=ef574e170f7b0f5e",
+                   "syr2k/UN cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=d0774b0ee3f0171c",
+                   "syrk/UT cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=353e08df25841d71",
+                   "syr2k/UT cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=85873f0777fc4fa1",
+                   "syrk/LN/b0 cycles=0 graph=0/0 chans=4:8d1168da64de0489 out=afdcb66de30b5ba3",
+                   "trsm/LLNN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=a51ae6048a5c02f9",
+                   "trsm/LLNU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=a5b57252bbe1bdda",
+                   "trsm/LLTN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=bf13cf5b301f21f4",
+                   "trsm/LLTU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=a2cc2e43dd7167a0",
+                   "trsm/LUNN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=a8e9397f49d88a1e",
+                   "trsm/LUNU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=a530c53907f94784",
+                   "trsm/LUTN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=517069852f1d0172",
+                   "trsm/LUTU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=72a2dd4e28f90e18",
+                   "trsm/RLNN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=43f6aef225c5ddeb",
+                   "trsm/RLNU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=3beff8f98b2d99e3",
+                   "trsm/RLTN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=e8ee29899c50565a",
+                   "trsm/RLTU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=2d2bbaf269487207",
+                   "trsm/RUNN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=642be1984ba658a4",
+                   "trsm/RUNU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=9b7d8b9d93fd38db",
+                   "trsm/RUTN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=89a97da45642b9de",
+                   "trsm/RUTU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=1b52c0a1326550b0",
+                   "syrk/bank0 cycles=0 graph=0/0 chans=4:86643d19b637ac3f out=38dd9cf890ace192",
+                   "syr2k/bank0 cycles=0 graph=0/0 chans=6:22180302b8a3e269 out=a3e32517b4a3e7ba",
+                   "gemm/bank0 cycles=0 graph=0/0 chans=4:79a3773d3633b1c8 out=c6ccbb9148dcd064",
+               });
+}
+TEST(HostGolden, Level3DoubleCycle) {
+  expect_lines(host_pins<double>(Mode::Cycle, level3_cases<double>()),
+               {
+                   "gemm/NN/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=9dfa272d3f302ea",
+                   "gemm/NN cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=30f414920b8e2a33",
+                   "gemm/NT/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=13667c63a8311c83",
+                   "gemm/NT cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=5d76ec940fa79198",
+                   "gemm/TN/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=b79792e2840406f8",
+                   "gemm/TN cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=eb1d7f6f32be8562",
+                   "gemm/TT/b0 cycles=380 graph=380/684 chans=4:cde611fb7397b18c out=3e929c3632406683",
+                   "gemm/TT cycles=380 graph=380/923 chans=4:e2aeb11a8de474c9 out=f36c617d9b93cd2e",
+                   "syrk/LN cycles=344 graph=344/809 chans=4:4d03767066834edd out=4d506bb0d3796c3b",
+                   "syr2k/LN cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=71e8a2ae71bdebb6",
+                   "syrk/LT cycles=344 graph=344/809 chans=4:4d03767066834edd out=2446333ce6e7fd7a",
+                   "syr2k/LT cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=b0719edb93d65e63",
+                   "syrk/UN cycles=344 graph=344/809 chans=4:4d03767066834edd out=487cc6391ba83ce8",
+                   "syr2k/UN cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=64f2bf71e57e0a0e",
+                   "syrk/UT cycles=344 graph=344/809 chans=4:4d03767066834edd out=5ab3f4b24a53e98e",
+                   "syr2k/UT cycles=344 graph=344/1166 chans=6:e16e4a0742080c09 out=1af3666f43ac3894",
+                   "syrk/LN/b0 cycles=344 graph=344/612 chans=4:c627e04c2d8b2999 out=3388a19c8e0bb1bc",
+                   "trsm/LLNN cycles=305 graph=305/538 chans=3:fbe19fde74c76bbf out=cf0d0880216d1c9a",
+                   "trsm/LLNU cycles=305 graph=305/538 chans=3:fbe19fde74c76bbf out=16bb89c89a8e1440",
+                   "trsm/LLTN cycles=305 graph=305/537 chans=3:8bd7fdad7e1335ee out=7960ddbde7eb792b",
+                   "trsm/LLTU cycles=305 graph=305/537 chans=3:8bd7fdad7e1335ee out=9a9908740a019b23",
+                   "trsm/LUNN cycles=305 graph=305/537 chans=3:8bd7fdad7e1335ee out=581b97d20d01b2f0",
+                   "trsm/LUNU cycles=305 graph=305/537 chans=3:8bd7fdad7e1335ee out=255abf9e8473acac",
+                   "trsm/LUTN cycles=305 graph=305/538 chans=3:fbe19fde74c76bbf out=d96daf5ac420e906",
+                   "trsm/LUTU cycles=305 graph=305/538 chans=3:fbe19fde74c76bbf out=af6a246c8009aa7",
+                   "trsm/RLNN cycles=281 graph=281/466 chans=3:347bb1c2205a2d0e out=5621b6dc326704d",
+                   "trsm/RLNU cycles=281 graph=281/466 chans=3:347bb1c2205a2d0e out=47757628955debee",
+                   "trsm/RLTN cycles=281 graph=281/468 chans=3:23cad2110ab4a53 out=4ce81dce53491bc7",
+                   "trsm/RLTU cycles=281 graph=281/468 chans=3:23cad2110ab4a53 out=2500c568228f773d",
+                   "trsm/RUNN cycles=281 graph=281/468 chans=3:23cad2110ab4a53 out=9138d36bf6ec0345",
+                   "trsm/RUNU cycles=281 graph=281/468 chans=3:23cad2110ab4a53 out=8397dc4fc0dddd02",
+                   "trsm/RUTN cycles=281 graph=281/466 chans=3:347bb1c2205a2d0e out=33999a2184684a21",
+                   "trsm/RUTU cycles=281 graph=281/466 chans=3:347bb1c2205a2d0e out=d69563c5340af936",
+                   "syrk/bank0 cycles=96 graph=96/132 chans=4:4330bbc5c785a784 out=8fac48817682987a",
+                   "syr2k/bank0 cycles=139 graph=139/233 chans=6:630427b198101d60 out=867739059f142527",
+                   "gemm/bank0 cycles=117 graph=117/134 chans=4:3e60319b7c3a5b1f out=4ef1bd878dfba78e",
+               });
+}
+TEST(HostGolden, Level3DoubleFunctional) {
+  expect_lines(host_pins<double>(Mode::Functional, level3_cases<double>()),
+               {
+                   "gemm/NN/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=9dfa272d3f302ea",
+                   "gemm/NN cycles=0 graph=0/0 chans=4:662093858de93713 out=30f414920b8e2a33",
+                   "gemm/NT/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=13667c63a8311c83",
+                   "gemm/NT cycles=0 graph=0/0 chans=4:662093858de93713 out=5d76ec940fa79198",
+                   "gemm/TN/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=b79792e2840406f8",
+                   "gemm/TN cycles=0 graph=0/0 chans=4:662093858de93713 out=eb1d7f6f32be8562",
+                   "gemm/TT/b0 cycles=0 graph=0/0 chans=4:d3c32f9f2b4d2458 out=3e929c3632406683",
+                   "gemm/TT cycles=0 graph=0/0 chans=4:662093858de93713 out=f36c617d9b93cd2e",
+                   "syrk/LN cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=4d506bb0d3796c3b",
+                   "syr2k/LN cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=71e8a2ae71bdebb6",
+                   "syrk/LT cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=2446333ce6e7fd7a",
+                   "syr2k/LT cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=b0719edb93d65e63",
+                   "syrk/UN cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=487cc6391ba83ce8",
+                   "syr2k/UN cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=64f2bf71e57e0a0e",
+                   "syrk/UT cycles=0 graph=0/0 chans=4:2b73d33ade1f8fc3 out=5ab3f4b24a53e98e",
+                   "syr2k/UT cycles=0 graph=0/0 chans=6:fff582cf392a7bd0 out=1af3666f43ac3894",
+                   "syrk/LN/b0 cycles=0 graph=0/0 chans=4:8d1168da64de0489 out=3388a19c8e0bb1bc",
+                   "trsm/LLNN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=cf0d0880216d1c9a",
+                   "trsm/LLNU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=16bb89c89a8e1440",
+                   "trsm/LLTN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=7960ddbde7eb792b",
+                   "trsm/LLTU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=9a9908740a019b23",
+                   "trsm/LUNN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=581b97d20d01b2f0",
+                   "trsm/LUNU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=255abf9e8473acac",
+                   "trsm/LUTN cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=d96daf5ac420e906",
+                   "trsm/LUTU cycles=0 graph=0/0 chans=3:219153ad47e4b27a out=af6a246c8009aa7",
+                   "trsm/RLNN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=5621b6dc326704d",
+                   "trsm/RLNU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=47757628955debee",
+                   "trsm/RLTN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=4ce81dce53491bc7",
+                   "trsm/RLTU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=2500c568228f773d",
+                   "trsm/RUNN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=9138d36bf6ec0345",
+                   "trsm/RUNU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=8397dc4fc0dddd02",
+                   "trsm/RUTN cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=33999a2184684a21",
+                   "trsm/RUTU cycles=0 graph=0/0 chans=3:b0c7577963f6a02d out=d69563c5340af936",
+                   "syrk/bank0 cycles=0 graph=0/0 chans=4:86643d19b637ac3f out=8fac48817682987a",
+                   "syr2k/bank0 cycles=0 graph=0/0 chans=6:22180302b8a3e269 out=867739059f142527",
+                   "gemm/bank0 cycles=0 graph=0/0 chans=4:79a3773d3633b1c8 out=4ef1bd878dfba78e",
+               });
+}
+TEST(HostGolden, Level3CorruptionVictims) {
+  expect_lines(victim_pins(level3_cases<float>()),
+               {
+                   "gemm/NN/b0 seed=1 victim=out",
+                   "gemm/NN seed=1 victim=A",
+                   "gemm/NT/b0 seed=1 victim=out",
+                   "gemm/NT seed=1 victim=A",
+                   "gemm/TN/b0 seed=1 victim=out",
+                   "gemm/TN seed=1 victim=A",
+                   "gemm/TT/b0 seed=1 victim=out",
+                   "gemm/TT seed=1 victim=A",
+                   "syrk/LN seed=1 victim=A",
+                   "syr2k/LN seed=1 victim=Acol",
+                   "syrk/LT seed=1 victim=A",
+                   "syr2k/LT seed=1 victim=Acol",
+                   "syrk/UN seed=1 victim=A",
+                   "syr2k/UN seed=1 victim=Acol",
+                   "syrk/UT seed=1 victim=A",
+                   "syr2k/UT seed=1 victim=Acol",
+                   "syrk/LN/b0 seed=1 victim=out",
+                   "trsm/LLNN seed=1 victim=A",
+                   "trsm/LLNU seed=1 victim=A",
+                   "trsm/LLTN seed=1 victim=A",
+                   "trsm/LLTU seed=1 victim=A",
+                   "trsm/LUNN seed=1 victim=A",
+                   "trsm/LUNU seed=1 victim=A",
+                   "trsm/LUTN seed=1 victim=A",
+                   "trsm/LUTU seed=1 victim=A",
+                   "trsm/RLNN seed=1 victim=B",
+                   "trsm/RLNU seed=1 victim=B",
+                   "trsm/RLTN seed=1 victim=B",
+                   "trsm/RLTU seed=1 victim=B",
+                   "trsm/RUNN seed=1 victim=B",
+                   "trsm/RUNU seed=1 victim=B",
+                   "trsm/RUTN seed=1 victim=B",
+                   "trsm/RUTU seed=1 victim=B",
+                   "syrk/bank0 seed=1 victim=Cin",
+                   "syr2k/bank0 seed=1 victim=Btrow",
+                   "gemm/bank0 seed=1 victim=Cin",
+               });
+}
 TEST(HostGolden, RunnerSingle) {
   expect_lines(runner_pins("single", Mode::Cycle),
                {

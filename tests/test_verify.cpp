@@ -1130,21 +1130,25 @@ TEST(VerifyComposed, MixedCompositionWorkloadAllCaughtSerialAndPool) {
   EXPECT_EQ(pool_stats.faults_injected, serial_stats.faults_injected);
 }
 
-// --- SilentCorrupt steering: SYRK/SYR2K triangle blind spot ---------------
+// --- SilentCorrupt steering: the one-triangle blind spot ------------------
 
 TEST(VerifyRuntime, SyrkSteeredCorruptionAlwaysLandsInTheTriangle) {
-  // SYRK/SYR2K only write one triangle; an unsteered injector could mangle
-  // a byte in the never-written half, where the tri-masked checksums are
-  // blind by design (BLAS semantics say those bytes are dead). The
-  // corrupt_steer hook remaps every draw into the stored triangle, so the
-  // fault is always live and always caught.
+  // SYR, SYR2, SYRK and SYR2K only write one triangle; an unsteered
+  // injector could mangle a byte in the never-written half, where the
+  // tri-masked checksums are blind by design (BLAS semantics say those
+  // bytes are dead). The steering derived from the triangle-storing port
+  // remaps every draw into the stored triangle, so the fault is always
+  // live and always caught, for both triangles.
   const std::int64_t n = 24, k = 10;
   Workload wl(95);
   const auto ha = wl.matrix<float>(n, k);
   const auto hb = wl.matrix<float>(n, k);
   const auto hc = wl.matrix<float>(n, n);
+  const auto hx = wl.vector<float>(n);
+  const auto hy = wl.vector<float>(n);
+  enum class Routine { Syr, Syr2, Syrk, Syr2k };
 
-  auto run = [&](bool with_faults, Uplo uplo, bool two_k) {
+  auto run = [&](bool with_faults, Uplo uplo, Routine r) {
     host::Device dev;
     host::Context ctx(dev);
     if (with_faults) {
@@ -1156,26 +1160,43 @@ TEST(VerifyRuntime, SyrkSteeredCorruptionAlwaysLandsInTheTriangle) {
     }
     ctx.set_retry_policy(fast_retry(4));
     ctx.config().verification = verify::Options::always();
-    host::Buffer<float> A(dev, n * k, 0), B(dev, n * k, 1), C(dev, n * n, 2);
+    host::Buffer<float> A(dev, n * k, 0), B(dev, n * k, 1), C(dev, n * n, 2),
+        x(dev, n, 3), y(dev, n, 1);
     A.write(ha);
     B.write(hb);
     C.write(hc);
-    if (two_k) {
-      ctx.syr2k<float>(uplo, Transpose::None, n, k, 0.5f, A, B, 0.9f, C);
-    } else {
-      ctx.syrk<float>(uplo, Transpose::None, n, k, 1.25f, A, 0.5f, C);
+    x.write(hx);
+    y.write(hy);
+    switch (r) {
+      case Routine::Syr:
+        ctx.syr<float>(uplo, n, 0.75f, x, 1, C);
+        break;
+      case Routine::Syr2:
+        ctx.syr2<float>(uplo, n, -0.5f, x, 1, y, 1, C);
+        break;
+      case Routine::Syrk:
+        ctx.syrk<float>(uplo, Transpose::None, n, k, 1.25f, A, 0.5f, C);
+        break;
+      case Routine::Syr2k:
+        ctx.syr2k<float>(uplo, Transpose::None, n, k, 0.5f, A, B, 0.9f, C);
+        break;
     }
     return std::make_pair(C.to_host(), ctx.exec_stats());
   };
 
-  for (const bool two_k : {false, true}) {
-    const Uplo uplo = two_k ? Uplo::Upper : Uplo::Lower;
-    const auto [clean, clean_stats] = run(false, uplo, two_k);
-    const auto [rec, rec_stats] = run(true, uplo, two_k);
-    EXPECT_EQ(rec_stats.faults_injected, 3u);
-    EXPECT_EQ(rec_stats.sdc_caught, rec_stats.faults_injected);
-    EXPECT_EQ(clean, rec);  // caught every time, recovered bit-identical
-    EXPECT_EQ(clean_stats.sdc_caught, 0u);
+  for (const Routine r :
+       {Routine::Syr, Routine::Syr2, Routine::Syrk, Routine::Syr2k}) {
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      const auto [clean, clean_stats] = run(false, uplo, r);
+      const auto [rec, rec_stats] = run(true, uplo, r);
+      const auto where = ::testing::Message()
+                         << "routine " << static_cast<int>(r) << " uplo "
+                         << (uplo == Uplo::Lower ? "L" : "U");
+      EXPECT_EQ(rec_stats.faults_injected, 3u) << where;
+      EXPECT_EQ(rec_stats.sdc_caught, rec_stats.faults_injected) << where;
+      EXPECT_EQ(clean, rec) << where;  // caught every time, recovered bits
+      EXPECT_EQ(clean_stats.sdc_caught, 0u) << where;
+    }
   }
 }
 
