@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,6 +25,11 @@ class VectorView {
   // NOLINTNEXTLINE(google-explicit-constructor): vectors decay naturally.
   VectorView(std::vector<std::remove_const_t<T>>& v)
       : data_(v.data()), n_(static_cast<std::int64_t>(v.size())), inc_(1) {}
+  /// A mutable view reads as a read-only one.
+  template <typename U>
+    requires std::is_same_v<const U, T>
+  VectorView(VectorView<U> v)  // NOLINT(google-explicit-constructor)
+      : VectorView(v.data(), v.size(), v.inc()) {}
 
   T& operator[](std::int64_t i) const { return data_[i * inc_]; }
   T* data() const { return data_; }
@@ -52,6 +58,11 @@ class MatrixView {
   }
   MatrixView(T* data, std::int64_t rows, std::int64_t cols)
       : MatrixView(data, rows, cols, cols) {}
+  /// A mutable view reads as a read-only one.
+  template <typename U>
+    requires std::is_same_v<const U, T>
+  MatrixView(MatrixView<U> m)  // NOLINT(google-explicit-constructor)
+      : MatrixView(m.data(), m.rows(), m.cols(), m.ld()) {}
 
   T& operator()(std::int64_t i, std::int64_t j) const {
     return data_[i * ld_ + j];

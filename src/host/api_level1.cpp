@@ -1,19 +1,14 @@
-// Level-1 host API: every routine lowers through its descriptor in the
-// per-kind module table (host/kinds.hpp) via detail::lower_call, which
-// checks the operand views at enqueue, derives the buffer read and write
-// sets (hazard tracking) from the ports, and builds reader -> module ->
-// writer graphs with the refblas reference as the command's fallback.
-//
-// What stays here is what differs per call: when the captured config
-// enables verification, the ABFT checksum checkers. rotm and sdsdot carry no
-// checker: rotm's modified-rotation flag cases have no single linear
-// checksum identity, and sdsdot's mixed-precision accumulation has no
-// tight double-precision bound — both stay covered by fault *detection*
-// (taint, watchdog) rather than result verification.
+// Level-1 host API: every routine is one detail::lower_call on its
+// descriptor in the per-kind module table (host/kinds.hpp) plus enqueue.
+// lower_call checks the operand views at enqueue, derives the buffer read
+// and write sets (hazard tracking) and corruption steering from the
+// ports, builds reader -> module -> writer graphs with the refblas
+// reference as the command's fallback, and, when the captured config
+// enables verification, arms the descriptor's ABFT checker (rotm and
+// sdsdot have none; kinds.hpp says why).
 #include "host/context.hpp"
 #include "host/detail.hpp"
 #include "host/kinds.hpp"
-#include "verify/abft.hpp"
 
 namespace fblas::host {
 
@@ -48,149 +43,86 @@ ref::RotmParam<T> Context::rotmg(T& d1, T& d2, T& x1, T y1) {
 template <typename T>
 Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                          Buffer<T>& y, std::int64_t incy, T c, T s) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Rot,
-                                      {.n = n, .c = c, .s = s},
-                                      {{x, incx}, {y, incy}});
-  detail::verify_with<verify::PairCheck>(
-      *this, cmd,
-      [=, &x, &y] {
-        return verify::rot_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), c, s);
-      },
-      [=, &x, &y](const verify::PairCheck& chk, double scale) {
-        verify::check_sum<T>(chk.x, "rot(x)", x.cvec(n, incx), scale);
-        verify::check_sum<T>(chk.y, "rot(y)", y.cvec(n, incy), scale);
-      });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Rot,
+                                       {.n = n, .c = c, .s = s},
+                                       {{x, incx}, {y, incy}}));
 }
 
 template <typename T>
 Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy,
                           ref::RotmParam<T> p) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Rotm,
-                                      {.n = n, .param = p},
-                                      {{x, incx}, {y, incy}});
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Rotm,
+                                       {.n = n, .param = p},
+                                       {{x, incx}, {y, incy}}));
 }
 
 template <typename T>
 Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Swap, {.n = n},
-                                      {{x, incx}, {y, incy}});
-  detail::verify_with<verify::PairCheck>(
-      *this, cmd,
-      [=, &x, &y] {
-        return verify::swap_prepare<T>(x.cvec(n, incx), y.cvec(n, incy));
-      },
-      [=, &x, &y](const verify::PairCheck& chk, double scale) {
-        verify::check_sum<T>(chk.x, "swap(x)", x.cvec(n, incx), scale);
-        verify::check_sum<T>(chk.y, "swap(y)", y.cvec(n, incy), scale);
-      });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Swap, {.n = n},
+                                       {{x, incx}, {y, incy}}));
 }
 
 template <typename T>
 Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
                           std::int64_t incx) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Scal,
-                                      {.n = n, .alpha = alpha}, {{x, incx}});
-  detail::verify_with<verify::ScalarCheck>(
-      *this, cmd,
-      [=, &x] { return verify::scal_prepare<T>(alpha, x.cvec(n, incx)); },
-      [=, &x](const verify::ScalarCheck& chk, double scale) {
-        verify::check_sum<T>(chk, "scal", x.cvec(n, incx), scale);
-      });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Scal,
+                                       {.n = n, .alpha = alpha}, {{x, incx}}));
 }
 
 template <typename T>
 Event Context::copy_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Copy, {.n = n},
-                                      {{x, incx}, {y, incy}});
-  detail::verify_with<verify::ScalarCheck>(
-      *this, cmd, [=, &x] { return verify::copy_prepare<T>(x.cvec(n, incx)); },
-      [=, &y](const verify::ScalarCheck& chk, double scale) {
-        verify::check_sum<T>(chk, "copy", y.cvec(n, incy), scale);
-      });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Copy, {.n = n},
+                                       {{x, incx}, {y, incy}}));
 }
 
 template <typename T>
 Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Axpy,
-                                      {.n = n, .alpha = alpha},
-                                      {{x, incx}, {y, incy}});
-  detail::verify_with<verify::ScalarCheck>(
-      *this, cmd,
-      [=, &x, &y] {
-        return verify::axpy_prepare<T>(alpha, x.cvec(n, incx),
-                                       y.cvec(n, incy));
-      },
-      [=, &y](const verify::ScalarCheck& chk, double scale) {
-        verify::check_sum<T>(chk, "axpy", y.cvec(n, incy), scale);
-      });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Axpy,
+                                       {.n = n, .alpha = alpha},
+                                       {{x, incx}, {y, incy}}));
 }
 
 template <typename T>
 Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
                          std::int64_t incx, const Buffer<T>& y,
                          std::int64_t incy, T* result) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Dot, {.n = n},
-                                      {{x, incx}, {y, incy}, {result}});
-  // Single-phase: the inputs are untouched, so the checker recomputes the
-  // reduction in double after the fact — no prepare pass needed.
-  detail::verify_with(*this, cmd, [=, &x, &y](double scale) {
-    verify::dot_check<T>(x.cvec(n, incx), y.cvec(n, incy), *result, scale);
-  });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Dot, {.n = n},
+                                       {{x, incx}, {y, incy}, {result}}));
 }
 
 Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
                             std::int64_t incx, const Buffer<float>& y,
                             std::int64_t incy, float* result) {
-  Command cmd = detail::lower_call<float>(*this, RoutineKind::Sdsdot,
-                                          {.n = n, .alpha = sb},
-                                          {{x, incx}, {y, incy}, {result}});
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<float>(*this, RoutineKind::Sdsdot,
+                                           {.n = n, .alpha = sb},
+                                           {{x, incx}, {y, incy}, {result}}));
 }
 
 template <typename T>
 Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Nrm2, {.n = n},
-                                      {{x, incx}, {result}});
-  detail::verify_with(*this, cmd, [=, &x](double scale) {
-    verify::nrm2_check<T>(x.cvec(n, incx), *result, scale);
-  });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Nrm2, {.n = n},
+                                       {{x, incx}, {result}}));
 }
 
 template <typename T>
 Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Asum, {.n = n},
-                                      {{x, incx}, {result}});
-  detail::verify_with(*this, cmd, [=, &x](double scale) {
-    verify::asum_check<T>(x.cvec(n, incx), *result, scale);
-  });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Asum, {.n = n},
+                                       {{x, incx}, {result}}));
 }
 
 template <typename T>
 Event Context::iamax_async(std::int64_t n, const Buffer<T>& x,
                            std::int64_t incx, std::int64_t* result) {
-  Command cmd = detail::lower_call<T>(*this, RoutineKind::Iamax, {.n = n},
-                                      {{x, incx}, {result}});
-  detail::verify_with(*this, cmd, [=, &x](double) {
-    verify::iamax_check<T>(x.cvec(n, incx), *result);
-  });
-  return enqueue(std::move(cmd));
+  return enqueue(detail::lower_call<T>(*this, RoutineKind::Iamax, {.n = n},
+                                       {{x, incx}, {result}}));
 }
 
 // Explicit instantiations for the two supported precisions.

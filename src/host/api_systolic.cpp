@@ -5,7 +5,8 @@
 // only has to inspect the engine's report — an uncorrectable (multi-
 // fault) tile rejects with VerificationError and falls onto the standard
 // rollback -> retry -> CPU-fallback ladder. Without .in_grid() the
-// command uses the same host-side Huang–Abraham checkers as gemm_async.
+// command arms the host-side Huang–Abraham checker of GEMM's descriptor
+// in the per-kind module table (host/kinds.hpp), as gemm_async does.
 //
 // PE-targeted fault injection: wrap_work draws FaultKind::PeFault per
 // attempt; this lowering derives the deterministic (tile, r, c, mac)
@@ -17,8 +18,8 @@
 #include <sstream>
 
 #include "host/context.hpp"
+#include "host/detail.hpp"
 #include "refblas/level3.hpp"
-#include "verify/abft.hpp"
 
 namespace fblas::host {
 
@@ -159,17 +160,14 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
         throw VerificationError(os.str());
       }
     };
-  } else if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::GemmCheck<T>>();
-    command.verify_prepare = [chk, m, n, k, &a, &b, &c] {
-      *chk = verify::gemm_prepare<T>(Transpose::None, Transpose::None, m, n,
-                                     k, T(1), a.cmat(m, k), b.cmat(k, n),
-                                     T(0), c.cmat(m, n));
-    };
-    command.verify_check = [chk, m, n, &c,
-                            scale = cfg_.verification.tolerance_scale()] {
-      verify::gemm_check<T>(*chk, c.cmat(m, n), scale);
-    };
+  } else if (vo.enabled()) {
+    // C = A B: alpha 1, beta 0.
+    detail::arm_verify<T>(command, vo.tolerance_scale(),
+                          kinds::kind_of<T>(RoutineKind::Gemm),
+                          {.rows = m, .cols = n, .k = k},
+                          {{{}, a.cmat(m, k)}, {{}, b.cmat(k, n)},
+                           {{}, c.cmat(m, n)}},
+                          {{{}, c.mat(m, n)}});
   }
   return enqueue(std::move(command));
 }

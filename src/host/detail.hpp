@@ -1,12 +1,15 @@
 // Internal helpers shared by the host-API routine lowerings: DDR banks,
 // the solve-order and uplo-masked streamers, the reader/writer of a
 // module port (host/kinds.hpp), and the single-call builder every
-// Level-1/2/3 routine lowers through.
+// Level-1/2/3 routine lowers through, with its ABFT check taken from the
+// kind's descriptor.
 #pragma once
 
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -42,8 +45,10 @@ class BankSet {
   std::vector<stream::DramBank*> banks_;
 };
 
-/// Stores a matrix stream but only keeps the `uplo` triangle (used by the
-/// SYR/SYR2 lowerings, whose generic modules update the full square).
+/// Stores a matrix stream but only keeps the `uplo` triangle, each kept
+/// element once its bank grants it: the one triangle writer, for SYR and
+/// SYR2's A and SYRK and SYR2K's C, whose generic modules stream the
+/// full square.
 template <typename T>
 stream::Task write_matrix_uplo(MatrixView<T> A, stream::TileSchedule sched,
                                Uplo uplo, int width, stream::Channel<T>& in,
@@ -72,88 +77,72 @@ stream::Task write_matrix_uplo(MatrixView<T> A, stream::TileSchedule sched,
   }
 }
 
-/// Streams matrix rows in solve order, reversed for Upper solves (TRSM's
-/// B operand; a one-column view with ld = inc is a TRSV vector). With
-/// `trans` it streams the rows of B^T, B's columns, in place.
-template <typename T>
-stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
-                                   Transpose trans, int width,
-                                   stream::Channel<T>& out,
-                                   stream::DramBank* bank = nullptr) {
+/// Streams matrix rows in solve order, reversed for Upper solves, with
+/// `trans` as the rows of M^T (M's columns) in place. A read-only M is
+/// read into `ch` (TRSM's B; a one-column view with ld = inc is TRSV's
+/// b); a writable one is stored from `ch` back in natural order (TRSM's
+/// X, TRSV's x).
+template <typename T, typename E>
+stream::Task stream_solve_order(MatrixView<E> M, Uplo uplo, Transpose trans,
+                                int width, stream::Channel<T>& ch,
+                                stream::DramBank* bank = nullptr) {
+  constexpr bool read = std::is_const_v<E>;
   const bool t = trans == Transpose::Trans;
-  const std::int64_t m = t ? B.cols() : B.rows();
-  const std::int64_t n = t ? B.rows() : B.cols();
+  const std::int64_t m = t ? M.cols() : M.rows();
+  const std::int64_t n = t ? M.rows() : M.cols();
   int in_cycle = 0;
   for (std::int64_t s = 0; s < m; ++s) {
     const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
     for (std::int64_t c = 0; c < n; ++c) {
+      T v{};
+      if constexpr (!read) v = co_await ch.pop();
       if (bank != nullptr) {
         while (bank->grant_elems(1, sizeof(T)) == 0) {
           co_await stream::next_cycle();
         }
       }
-      co_await out.push(t ? B(c, i) : B(i, c));
+      if constexpr (read) {
+        co_await ch.push(t ? M(c, i) : M(i, c));
+      } else {
+        (t ? M(c, i) : M(i, c)) = v;
+      }
       if (++in_cycle == width) {
         in_cycle = 0;
         co_await stream::next_cycle();
       }
     }
   }
-  co_await stream::next_cycle();
-}
-
-/// Stores solve-order rows back in natural order (TRSM's X, TRSV's x),
-/// with `trans` as the rows of X^T.
-template <typename T>
-stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo,
-                                    Transpose trans, int width,
-                                    stream::Channel<T>& in,
-                                    stream::DramBank* bank = nullptr) {
-  const bool t = trans == Transpose::Trans;
-  const std::int64_t m = t ? X.cols() : X.rows();
-  const std::int64_t n = t ? X.rows() : X.cols();
-  int in_cycle = 0;
-  for (std::int64_t s = 0; s < m; ++s) {
-    const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
-    for (std::int64_t c = 0; c < n; ++c) {
-      const T v = co_await in.pop();
-      if (bank != nullptr) {
-        while (bank->grant_elems(1, sizeof(T)) == 0) {
-          co_await stream::next_cycle();
-        }
-      }
-      (t ? X(c, i) : X(i, c)) = v;
-      if (++in_cycle == width) {
-        in_cycle = 0;
-        co_await stream::next_cycle();
-      }
-    }
-  }
+  if constexpr (read) co_await stream::next_cycle();
 }
 
 using kinds::chan_cap;
 
-/// Steers an injected silent corruption of an n x n triangular output onto
-/// the written (`uplo`) triangle: the injector's raw byte draw is folded
-/// onto a triangle element and the damage lands on that element's last
-/// (sign/exponent) byte. Without this the draw can fall in the preserved
-/// opposite triangle, which the routine never writes — damage no checker
-/// could, or should, detect.
-inline std::uint64_t steer_triangular(Uplo uplo, std::int64_t n,
-                                      std::uint64_t elem, std::uint64_t raw,
-                                      std::uint64_t size) {
-  const std::uint64_t un = static_cast<std::uint64_t>(n);
-  const std::uint64_t tri = un * (un + 1) / 2;
-  if (tri == 0 || size == 0) return 0;
-  std::uint64_t t = (raw / elem) % tri;
-  // Row i of the triangle holds i+1 (Lower) or n-i (Upper) elements.
-  std::uint64_t i = 0;
-  for (std::uint64_t len = uplo == Uplo::Lower ? 1 : un; t >= len;
-       ++i, len = uplo == Uplo::Lower ? len + 1 : len - 1) {
-    t -= len;
+/// Steers an injected silent corruption of an output buffer onto an
+/// element that output port `p` stores (a vector strided by `inc`): the
+/// injector's raw byte draw is folded onto one of the port's elements and
+/// the damage lands on that element's last (sign/exponent) byte. Without
+/// this the draw can fall on bytes the routine never writes (the
+/// preserved triangle of a one-triangle store, a strided vector's gaps,
+/// a buffer's tail past the operand): damage no checker could, or
+/// should, detect.
+inline std::uint64_t steer_onto(const kinds::Port& p, std::int64_t inc,
+                                std::uint64_t elem, std::uint64_t raw,
+                                std::uint64_t size) {
+  const bool vector = kinds::is_vector(p);
+  const auto rows = static_cast<std::uint64_t>(vector ? p.len : p.rows);
+  const auto cols = static_cast<std::uint64_t>(vector ? 1 : p.cols);
+  if (rows * cols == 0 || size == 0) return 0;
+  const std::uint64_t t = (raw / elem) % (rows * cols);
+  std::uint64_t i = t / cols, j = t % cols;
+  // An element of a one-triangle store's other triangle mirrors onto
+  // the stored one.
+  if (p.kind == kinds::PortKind::UploMatrix &&
+      (p.uplo == Uplo::Lower ? j > i : j < i)) {
+    std::swap(i, j);
   }
-  const std::uint64_t j = uplo == Uplo::Lower ? t : i + t;
-  const std::uint64_t off = (i * un + j) * elem + (elem - 1);
+  const std::uint64_t at = vector ? i * static_cast<std::uint64_t>(inc)
+                                  : i * cols + j;
+  const std::uint64_t off = at * elem + (elem - 1);
   return off < size ? off : size - 1;
 }
 
@@ -180,7 +169,7 @@ stream::Task read_port(const kinds::Port& p, const Buffer<T>& buf,
       return core::read_triangular<T>(buf.cmat(p.rows, p.cols), p.uplo, w,
                                       out, bank, p.trans);
     case kinds::PortKind::SolveOrder:
-      return read_rows_solve_order<T>(
+      return stream_solve_order<T>(
           kinds::is_vector(p) ? column(buf.cvec(p.len, inc))
                               : buf.cmat(p.rows, p.cols),
           p.uplo, p.trans, w, out, bank);
@@ -210,13 +199,8 @@ stream::Task write_port(const kinds::Port& p, Buffer<T>& buf,
     case kinds::PortKind::UploMatrix:
       return write_matrix_uplo<T>(buf.mat(p.rows, p.cols), p.sched, p.uplo,
                                   w, in, bank);
-    case kinds::PortKind::TriangularC:
-      // One grant attempt per kept element, then the write either way: a
-      // refused grant costs one cycle, unlike write_matrix_uplo's wait.
-      return core::store_c_triangular<T>(buf.mat(p.rows, p.cols), p.grid,
-                                         p.uplo, in, bank);
     case kinds::PortKind::SolveOrder:
-      return write_rows_solve_order<T>(
+      return stream_solve_order<T>(
           kinds::is_vector(p) ? column(buf.vec(p.len, inc))
                               : buf.mat(p.rows, p.cols),
           p.uplo, p.trans, w, in, bank);
@@ -304,19 +288,34 @@ double call_mhz(RoutineKind kind, const kinds::Call<T>& c,
       .mhz;
 }
 
+/// Arms `cmd`'s ABFT check from descriptor `k`: `verify_prepare` runs
+/// the kind's prepare pass over the input views `in` before the first
+/// attempt and keeps the check it returns, which `verify_check` runs on
+/// the outputs `out` at tolerance scale `scale` after each device-Ok
+/// attempt.
+template <typename T>
+void arm_verify(Command& cmd, double scale, const kinds::Kind<T>& k,
+                const kinds::Call<T>& c, std::vector<kinds::In<T>> in,
+                std::vector<kinds::Out<T>> out) {
+  auto check = std::make_shared<kinds::Check>();
+  cmd.verify_prepare = [&k, c, in = std::move(in), out = std::move(out),
+                        check] { *check = k.verify(c, in.data(), out.data()); };
+  cmd.verify_check = [check, scale] { (*check)(scale); };
+}
+
 /// The command of one host call of `kind`. The operands' views are
 /// built now, so a bad length, stride or shape (or a systolic grid its
 /// tiles do not fit) throws from the call (a ConfigError naming the
 /// routine and the operand); they also serve the command's refblas
-/// fallback (a Buffer never reallocates its storage, so they stay
-/// valid). The ports also give the command's hazard sets, in operand
-/// order: an operand is read if an input port streams it and written if
-/// an output port does; and an output port storing one triangle steers
-/// injected silent corruption onto that triangle. The command's work
-/// runs build_call on the DDR banks at call_mhz through
-/// Context::run_graph. The call takes its vector width, tiling and
-/// systolic grid from the context's configuration, and its label from
-/// the routine's name.
+/// fallback and ABFT check (a Buffer never reallocates its storage, so
+/// they stay valid). The ports also give the command's hazard sets, in
+/// operand order: an operand is read if an input port streams it and
+/// written if an output port does; and the first written operand's port
+/// steers injected silent corruption onto the elements it stores. The
+/// command's work runs build_call on the DDR banks at call_mhz through
+/// Context::run_graph. The call takes its vector width, tiling, systolic
+/// grid and verification options from the context's configuration, and
+/// its label from the routine's name.
 template <typename T>
 Command lower_call(Context& ctx, RoutineKind kind, kinds::Call<T> c,
                    std::vector<Operand<T>> ops) {
@@ -363,11 +362,12 @@ Command lower_call(Context& ctx, RoutineKind kind, kinds::Call<T> c,
       throw ConfigError(std::string(routine_info(kind).name) + ": operand " +
                         (name != nullptr ? name + 1 : p.io) + ": " + e.what());
     }
-    if (p.kind == kinds::PortKind::UploMatrix ||
-        p.kind == kinds::PortKind::TriangularC) {
-      cmd.corrupt_steer = [uplo = p.uplo, n = p.rows](std::uint64_t raw,
-                                                      std::uint64_t size) {
-        return steer_triangular(uplo, n, sizeof(T), raw, size);
+    // Silent corruption damages the first buffer in the write set, whose
+    // operand the first buffer output port writes.
+    if (o.out != nullptr && !cmd.corrupt_steer) {
+      cmd.corrupt_steer = [p, inc = o.inc](std::uint64_t raw,
+                                           std::uint64_t size) {
+        return steer_onto(p, inc, sizeof(T), raw, size);
       };
     }
   }
@@ -387,32 +387,10 @@ Command lower_call(Context& ctx, RoutineKind kind, kinds::Call<T> c,
     }
   };
   cmd.fallback = [&k, c, in, out] { k.fallback(c, in.data(), out.data()); };
+  if (k.verify != nullptr && rc.verification.enabled()) {
+    arm_verify<T>(cmd, rc.verification.tolerance_scale(), k, c, in, out);
+  }
   return cmd;
-}
-
-/// Arms `cmd`'s two-phase ABFT check when the context's configuration
-/// enables verification: `prepare()` returns the inputs' checksums (a
-/// Chk) before the first attempt, and `check(chk, tolerance_scale)`
-/// compares the outputs with them after each device-Ok attempt.
-template <typename Chk, typename Prepare, typename Check>
-void verify_with(const Context& ctx, Command& cmd, Prepare prepare,
-                 Check check) {
-  const verify::Options& vo = ctx.config().verification;
-  if (!vo.enabled()) return;
-  auto chk = std::make_shared<Chk>();
-  cmd.verify_prepare = [chk, prepare] { *chk = prepare(); };
-  cmd.verify_check = [chk, check, scale = vo.tolerance_scale()] {
-    check(*chk, scale);
-  };
-}
-
-/// The single-phase form, for results that leave their inputs untouched:
-/// `check(tolerance_scale)` recomputes from the inputs after the fact.
-template <typename Check>
-void verify_with(const Context& ctx, Command& cmd, Check check) {
-  const verify::Options& vo = ctx.config().verification;
-  if (!vo.enabled()) return;
-  cmd.verify_check = [check, scale = vo.tolerance_scale()] { check(scale); };
 }
 
 }  // namespace fblas::host::detail

@@ -7,12 +7,15 @@
 //             each with how it meets DRAM (a strided vector replayed
 //             `repeat` times, a tiled matrix, a triangle in solve order,
 //             a solve-order vector or matrix, an uplo-masked matrix
-//             writer, a GEMM panel, a triangular C store, or a
-//             scalar/index result). The ports also say which operands a
-//             call reads and writes, and which triangle it owns.
+//             writer, a GEMM panel, or a scalar/index result). The ports
+//             also say which operands a call reads and writes, which
+//             elements it stores, and every operand's shape.
 //   module    the only instantiation of the core:: module in the host
 //             and codegen layers
 //   fallback  the refblas reference, on operand views
+//   verify    (checked kinds only) the ABFT checker, on the same views:
+//             the kind's verify:: prepare pass, returning the check of
+//             the outputs
 //   predict   (composable kinds only) the forward replay in double that
 //             predicts the module's output stream for verification
 //
@@ -26,6 +29,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -42,6 +46,7 @@
 #include "refblas/level3.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
+#include "verify/abft.hpp"
 
 namespace fblas::host::kinds {
 
@@ -55,7 +60,6 @@ enum class PortKind {
   UploMatrix,  ///< tiled matrix writer storing only the `uplo` triangle
   PanelA,      ///< op(X)'s column segments for every C tile (read_a_gemm)
   PanelB,      ///< op(X)'s row segments for every C tile (read_b_gemm)
-  TriangularC, ///< GEMM-ordered C stored only in the `uplo` triangle
   Scalar,      ///< one value collected to the host
   Index,       ///< one index collected to the host
 };
@@ -74,13 +78,13 @@ struct Port {
   /// channel but no reader (GEMM's C when beta is 0).
   std::int64_t repeat = 1;
   stream::TileSchedule sched{};
-  /// op(A)'s triangle; UploMatrix, TriangularC: the stored one.
+  /// op(A)'s triangle; UploMatrix: the stored one.
   Uplo uplo = Uplo::Lower;
   /// Triangular, panels: stream op(X); SolveOrder: walk the columns.
   Transpose trans = Transpose::None;
   std::int64_t depth = 0;  ///< FIFO depth; 0: chan_cap(width)
   int width = 0;           ///< elements per cycle; 0: the call's width
-  core::GemmConfig grid{};  ///< panels, TriangularC: the systolic grid
+  core::GemmConfig grid{};  ///< panels: the systolic grid
 };
 
 /// Whether port `p` streams a vector (else a matrix or a result). A
@@ -239,6 +243,10 @@ inline std::int64_t packed_diag(Uplo tri, std::int64_t n, std::int64_t i) {
                             : i * n - i * (i - 1) / 2;
 }
 
+/// An ABFT check of a call's outputs at a tolerance scale; throws
+/// VerificationError on a mismatch.
+using Check = std::function<void(double tol_scale)>;
+
 /// One routine kind's descriptor.
 template <typename T>
 struct Kind {
@@ -250,6 +258,10 @@ struct Kind {
   /// writes `out`, one per output port. An output whose operand is also
   /// an input holds that input's values on entry (BLAS in-place update).
   void (*fallback)(const Call<T>&, const In<T>* in, const Out<T>* out);
+  /// Checked kinds: the prepare pass over the views `in` (run before the
+  /// first attempt), returning the check of the outputs `out`. Kinds
+  /// whose inputs survive the call only check.
+  Check (*verify)(const Call<T>&, const In<T>* in, const Out<T>* out);
   /// Composable kinds: the output stream's values from the input
   /// streams' (`inputs` of them; a missing trailing one is zero).
   void (*predict)(const Call<T>&, const Flow<T>* const* in,
@@ -376,14 +388,13 @@ Port c_port(const Call<T>& c, PortKind kind, const char* channel,
                core::gemm_c_schedule(g));
   p.uplo = c.uplo;
   p.width = g.pe_cols;
-  p.grid = g;
   p.depth = static_cast<std::int64_t>(chan_cap(g.pe_cols * 4));
   return p;
 }
 
 /// The GEMM family's `panels`, then C (operand `operand`) in, a channel
 /// without a reader when beta is 0, then C out, whole or (`out` ==
-/// TriangularC) only its `uplo` triangle.
+/// UploMatrix) only its `uplo` triangle.
 template <typename T>
 std::vector<Port> with_c(const Call<T>& c, std::vector<Port> panels,
                          int operand, PortKind out,
@@ -413,7 +424,7 @@ std::vector<Port> rank_k_ports(const Call<T>& c, bool two) {
     p.push_back(panel(PortKind::PanelB, "Btrow", "read_Bt", 1, c.k, c.cols,
                       t, c.rows, g));
   }
-  return with_c(c, std::move(p), two ? 2 : 1, PortKind::TriangularC, g);
+  return with_c(c, std::move(p), two ? 2 : 1, PortKind::UploMatrix, g);
 }
 
 /// The GEMM module, C = alpha op(A) op(B) + beta C for a rows x cols C;
@@ -423,6 +434,36 @@ stream::Task gemm_module(const Call<T>& c, stream::ChannelBase* const* ch) {
   return core::gemm<T>(c.gemm(), c.rows, c.cols, c.k, c.alpha, c.beta,
                        at<T>(ch, 0), at<T>(ch, 1), at<T>(ch, 2),
                        at<T>(ch, 3));
+}
+
+/// The check comparing sum(v) with a prepared checksum.
+template <typename T>
+Check sum_check(const verify::ScalarCheck& chk, const char* routine,
+                VectorView<const T> v) {
+  return [chk, routine, v](double s) {
+    verify::check_sum<T>(chk, routine, v, s);
+  };
+}
+
+/// The check of both vectors a pair kind writes (ROT, SWAP).
+template <typename T>
+Check pair_check(const verify::PairCheck& chk, const char* x_name,
+                 const char* y_name, const Out<T>* o) {
+  return [chk, x_name, y_name, x = VectorView<const T>(o[0].v),
+          y = VectorView<const T>(o[1].v)](double s) {
+    verify::check_sum<T>(chk.x, x_name, x, s);
+    verify::check_sum<T>(chk.y, y_name, y, s);
+  };
+}
+
+/// The check comparing the row sums of m's stored part with prepared
+/// checksums.
+template <typename T>
+Check rowsum_check(verify::RowSumCheck chk, const char* routine,
+                   MatrixView<const T> m) {
+  return [chk = std::move(chk), routine, m](double s) {
+    verify::check_rowsums<T>(chk, routine, m, s);
+  };
 }
 
 template <typename T>
@@ -436,32 +477,45 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
       // Rotg
       {[](C) { return setup_ports("ab", "rzcs", 2, 4); },
        [](C, Ch k) { return core::rotg<T>(at<T>(k, 0), at<T>(k, 1)); },
-       nullptr, nullptr},
+       nullptr, nullptr, nullptr},
       // Rotmg
       {[](C) { return setup_ports("in", "out", 4, 8); },
        [](C, Ch k) { return core::rotmg<T>(at<T>(k, 0), at<T>(k, 1)); },
-       nullptr, nullptr},
+       nullptr, nullptr, nullptr},
       // Rot
       {[](C c) { return pair_ports(c.n); },
        [](C c, Ch k) {
          return core::rot<T>({c.width}, c.n, c.c, c.s, at<T>(k, 0),
                              at<T>(k, 1), at<T>(k, 2), at<T>(k, 3));
        },
-       [](C c, Ins, Outs o) { ref::rot(o[0].v, o[1].v, c.c, c.s); }, nullptr},
+       [](C c, Ins, Outs o) { ref::rot(o[0].v, o[1].v, c.c, c.s); },
+       [](C c, Ins i, Outs o) {
+         return pair_check<T>(verify::rot_prepare<T>(i[0].v, i[1].v, c.c, c.s),
+                              "rot(x)", "rot(y)", o);
+       },
+       nullptr},
       // Rotm
       {[](C c) { return pair_ports(c.n); },
        [](C c, Ch k) {
          return core::rotm<T>({c.width}, c.n, c.param, at<T>(k, 0),
                               at<T>(k, 1), at<T>(k, 2), at<T>(k, 3));
        },
-       [](C c, Ins, Outs o) { ref::rotm(o[0].v, o[1].v, c.param); }, nullptr},
+       [](C c, Ins, Outs o) { ref::rotm(o[0].v, o[1].v, c.param); },
+       // No checker: the modified rotation's flag cases have no single
+       // linear checksum identity (fault detection still covers it).
+       nullptr, nullptr},
       // Swap
       {[](C c) { return pair_ports(c.n); },
        [](C c, Ch k) {
          return core::swap<T>({c.width}, c.n, at<T>(k, 0), at<T>(k, 1),
                               at<T>(k, 2), at<T>(k, 3));
        },
-       [](C, Ins, Outs o) { ref::swap(o[0].v, o[1].v); }, nullptr},
+       [](C, Ins, Outs o) { ref::swap(o[0].v, o[1].v); },
+       [](C, Ins i, Outs o) {
+         return pair_check<T>(verify::swap_prepare<T>(i[0].v, i[1].v),
+                              "swap(x)", "swap(y)", o);
+       },
+       nullptr},
       // Scal
       {[](C c) {
          return std::vector<Port>{vec("x", "read_x", 0, c.n),
@@ -472,6 +526,10 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
                               at<T>(k, 1));
        },
        [](C c, Ins, Outs o) { ref::scal(c.alpha, o[0].v); },
+       [](C c, Ins i, Outs o) {
+         return sum_check<T>(verify::scal_prepare<T>(c.alpha, i[0].v), "scal",
+                             o[0].v);
+       },
        [](C c, Flows in, std::size_t, Flow<T>& out) {
          const Flow<T>& xf = *in[0];
          const double alpha = static_cast<double>(c.alpha);
@@ -492,7 +550,11 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
        [](C c, Ch k) {
          return core::copy<T>({c.width}, c.n, at<T>(k, 0), at<T>(k, 1));
        },
-       [](C, Ins i, Outs o) { ref::copy(i[0].v, o[0].v); }, nullptr},
+       [](C, Ins i, Outs o) { ref::copy(i[0].v, o[0].v); },
+       [](C, Ins i, Outs o) {
+         return sum_check<T>(verify::copy_prepare<T>(i[0].v), "copy", o[0].v);
+       },
+       nullptr},
       // Axpy
       {[](C c) {
          return std::vector<Port>{vec("x", "read_x", 0, c.n),
@@ -504,6 +566,10 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
                               at<T>(k, 1), at<T>(k, 2));
        },
        [](C c, Ins i, Outs o) { ref::axpy(c.alpha, i[0].v, o[0].v); },
+       [](C c, Ins i, Outs o) {
+         return sum_check<T>(verify::axpy_prepare<T>(c.alpha, i[0].v, i[1].v),
+                             "axpy", o[0].v);
+       },
        [](C c, Flows in, std::size_t, Flow<T>& out) {
          const Flow<T>& xf = *in[0];
          const Flow<T>& yf = *in[1];
@@ -527,6 +593,13 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
                              at<T>(k, 2));
        },
        [](C, Ins i, Outs o) { *o[0].scalar = ref::dot(i[0].v, i[1].v); },
+       // The inputs survive the call: the check recomputes the reduction
+       // in double after the fact.
+       [](C, Ins i, Outs o) -> Check {
+         return [x = i[0].v, y = i[1].v, r = o[0].scalar](double s) {
+           verify::dot_check<T>(x, y, *r, s);
+         };
+       },
        [](C, Flows in, std::size_t, Flow<T>& out) {
          const Flow<T>& xf = *in[0];
          const Flow<T>& yf = *in[1];
@@ -556,26 +629,46 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
            *o[0].scalar = ref::sdsdot(c.alpha, i[0].v, i[1].v);
          }
        },
-       nullptr},
+       // No checker: the mixed-precision accumulation has no tight
+       // double-precision bound (fault detection still covers it).
+       nullptr, nullptr},
       // Nrm2
       {[](C c) { return reduction_ports(c.n, 1, PortKind::Scalar); },
        [](C c, Ch k) {
          return core::nrm2<T>({c.width}, c.n, at<T>(k, 0), at<T>(k, 1));
        },
-       [](C, Ins i, Outs o) { *o[0].scalar = ref::nrm2(i[0].v); }, nullptr},
+       [](C, Ins i, Outs o) { *o[0].scalar = ref::nrm2(i[0].v); },
+       [](C, Ins i, Outs o) -> Check {
+         return [x = i[0].v, r = o[0].scalar](double s) {
+           verify::nrm2_check<T>(x, *r, s);
+         };
+       },
+       nullptr},
       // Asum
       {[](C c) { return reduction_ports(c.n, 1, PortKind::Scalar); },
        [](C c, Ch k) {
          return core::asum<T>({c.width}, c.n, at<T>(k, 0), at<T>(k, 1));
        },
-       [](C, Ins i, Outs o) { *o[0].scalar = ref::asum(i[0].v); }, nullptr},
+       [](C, Ins i, Outs o) { *o[0].scalar = ref::asum(i[0].v); },
+       [](C, Ins i, Outs o) -> Check {
+         return [x = i[0].v, r = o[0].scalar](double s) {
+           verify::asum_check<T>(x, *r, s);
+         };
+       },
+       nullptr},
       // Iamax
       {[](C c) { return reduction_ports(c.n, 1, PortKind::Index); },
        [](C c, Ch k) {
          return core::iamax<T>({c.width}, c.n, at<T>(k, 0),
                                at<std::int64_t>(k, 1));
        },
-       [](C, Ins i, Outs o) { *o[0].index = ref::iamax(i[0].v); }, nullptr},
+       [](C, Ins i, Outs o) { *o[0].index = ref::iamax(i[0].v); },
+       [](C, Ins i, Outs o) -> Check {
+         return [x = i[0].v, r = o[0].index](double) {
+           verify::iamax_check<T>(x, *r);
+         };
+       },
+       nullptr},
       // Gemv: y = alpha op(A) x + beta y0
       {[](C c) {
          const core::GemvConfig cfg = c.gemv();
@@ -596,6 +689,12 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
        },
        [](C c, Ins i, Outs o) {
          ref::gemv(c.trans, c.alpha, i[0].m, i[1].v, c.beta, o[0].v);
+       },
+       [](C c, Ins i, Outs o) {
+         return sum_check<T>(verify::gemv_prepare<T>(c.trans, c.rows, c.cols,
+                                                     c.alpha, i[0].m, i[1].v,
+                                                     c.beta, i[2].v),
+                             "gemv", o[0].v);
        },
        [](C c, Flows in, std::size_t inputs, Flow<T>& out) {
          const std::int64_t on = c.trans == Transpose::None ? c.rows : c.cols;
@@ -642,6 +741,14 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
        [](C c, Ins i, Outs o) {
          ref::trsv(c.uplo, c.trans, c.diag, i[0].m, o[0].v);
        },
+       // Residual check: e^T b before the solve overwrites it with x;
+       // afterwards e^T (op(A) x) must reproduce it.
+       [](C c, Ins i, Outs o) -> Check {
+         return [chk = verify::trsv_prepare<T>(c.n, i[1].v), c, a = i[0].m,
+                 x = VectorView<const T>(o[0].v)](double s) {
+           verify::trsv_check<T>(chk, c.uplo, c.trans, c.diag, c.n, a, x, s);
+         };
+       },
        [](C c, Flows in, std::size_t, Flow<T>& out) {
          // Re-solve in double over the packed triangle of op(A).
          const std::int64_t n = c.n;
@@ -681,6 +788,11 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
                              at<T>(k, 1), at<T>(k, 2), at<T>(k, 3));
        },
        [](C c, Ins i, Outs o) { ref::ger(c.alpha, i[1].v, i[2].v, o[0].m); },
+       [](C c, Ins i, Outs o) {
+         return rowsum_check<T>(verify::ger_prepare<T>(c.rows, c.cols, c.alpha,
+                                                       i[1].v, i[2].v, i[0].m),
+                                "ger", o[0].m);
+       },
        [](C c, Flows in, std::size_t, Flow<T>& out) {
          const Flow<T>& af = *in[0];
          const Flow<T>& xf = *in[1];
@@ -710,6 +822,11 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
                              at<T>(k, 2), at<T>(k, 3));
        },
        [](C c, Ins i, Outs o) { ref::syr(c.uplo, c.alpha, i[1].v, o[0].m); },
+       [](C c, Ins i, Outs o) {
+         return rowsum_check<T>(
+             verify::syr_prepare<T>(c.uplo, c.n, c.alpha, i[1].v, i[0].m),
+             "syr", o[0].m);
+       },
        nullptr},
       // Syr2: the uplo triangle of A += alpha (x y^T + y x^T)
       {[](C c) { return rank_update_ports(c, true); },
@@ -720,6 +837,11 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
        },
        [](C c, Ins i, Outs o) {
          ref::syr2(c.uplo, c.alpha, i[1].v, i[3].v, o[0].m);
+       },
+       [](C c, Ins i, Outs o) {
+         return rowsum_check<T>(verify::syr2_prepare<T>(c.uplo, c.n, c.alpha,
+                                                        i[1].v, i[3].v, i[0].m),
+                                "syr2", o[0].m);
        },
        nullptr},
       // Gemm: C = alpha op(A) op(B) + beta C (operands A, B, C)
@@ -737,6 +859,14 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
          ref::gemm(c.trans, c.trans_b, c.alpha, i[0].m, i[1].m, c.beta,
                    o[0].m);
        },
+       [](C c, Ins i, Outs o) -> Check {
+         return [chk = verify::gemm_prepare<T>(c.trans, c.trans_b, c.rows,
+                                               c.cols, c.k, c.alpha, i[0].m,
+                                               i[1].m, c.beta, i[2].m),
+                 m = MatrixView<const T>(o[0].m)](double s) {
+           verify::gemm_check<T>(chk, m, s);
+         };
+       },
        nullptr},
       // Syrk: the uplo triangle of C = alpha op(A) op(A)^T + beta C, on
       // the GEMM module (Sec. VI: specialized routines are implemented in
@@ -744,6 +874,12 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
       {[](C c) { return rank_k_ports(c, false); }, gemm_module<T>,
        [](C c, Ins i, Outs o) {
          ref::syrk(c.uplo, c.trans, c.alpha, i[0].m, c.beta, o[0].m);
+       },
+       [](C c, Ins i, Outs o) {
+         return rowsum_check<T>(
+             verify::syrk_prepare<T>(c.uplo, c.trans, c.rows, c.k, c.alpha,
+                                     i[0].m, c.beta, i[2].m),
+             "syrk", o[0].m);
        },
        nullptr},
       // Syr2k: the uplo triangle of
@@ -757,6 +893,12 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
        [](C c, Ins i, Outs o) {
          ref::syr2k(c.uplo, c.trans, c.alpha, i[0].m, i[1].m, c.beta,
                     o[0].m);
+       },
+       [](C c, Ins i, Outs o) {
+         return rowsum_check<T>(
+             verify::syr2k_prepare<T>(c.uplo, c.trans, c.rows, c.k, c.alpha,
+                                      i[0].m, i[1].m, c.beta, i[4].m),
+             "syr2k", o[0].m);
        },
        nullptr},
       // Trsm: solves op(A) X = alpha B (left) or X op(A) = alpha B (right)
@@ -785,6 +927,17 @@ constexpr std::array<Kind<T>, kRoutineCount> table() {
        },
        [](C c, Ins i, Outs o) {
          ref::trsm(c.side, c.uplo, c.trans, c.diag, c.alpha, i[0].m, o[0].m);
+       },
+       // Residual check: the right-hand sides' checksums alpha (B e)
+       // before the solve overwrites B with X; afterwards op(A) (X e)
+       // must reproduce them.
+       [](C c, Ins i, Outs o) -> Check {
+         return [chk = verify::trsm_prepare<T>(c.side, c.rows, c.cols,
+                                               c.alpha, i[1].m),
+                 c, a = i[0].m, x = MatrixView<const T>(o[0].m)](double s) {
+           verify::trsm_check<T>(chk, c.side, c.uplo, c.trans, c.diag, c.rows,
+                                 c.cols, a, x, s);
+         };
        },
        nullptr},
   }};

@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -619,16 +621,96 @@ TEST(VerifyRuntime, UnverifiedBaselineMissesSilentCorruption) {
 }
 
 TEST(VerifyRuntime, AlwaysCatchesSilentCorruptionAndRecoversBitIdentical) {
-  // Two budgeted silent faults under Always + retry: both attempts are
-  // rejected by the checksum, rolled back, and the third (clean) attempt
-  // produces bits identical to a fault-free run.
-  const std::int64_t m = 24, n = 20, k = 16;
-  Workload wl(81);
-  const auto ha = wl.matrix<float>(m, k);
-  const auto hb = wl.matrix<float>(k, n);
-  const auto hc = wl.matrix<float>(m, n);
+  // Two budgeted silent faults under Always + retry, for every routine
+  // kind with a buffer output (the one-triangle kinds are covered by
+  // SyrkSteeredCorruptionAlwaysLandsInTheTriangle): both corrupted
+  // attempts are rejected by the kind's checker, rolled back, and the
+  // third (clean) attempt produces bits identical to a fault-free run.
+  // Strided x, both transpositions, triangles and sides make a checker
+  // that reads the wrong operand or shape fail here.
+  const std::int64_t n = 24, m = 20, k = 16;
+  struct Ops {
+    host::Buffer<float> x, y, A, B, C;
+  };
+  // A well-conditioned dim x dim triangle at the start of A.
+  const auto triangular = [&](Ops& o, std::int64_t dim, Uplo uplo) {
+    auto t = Workload(86).triangular<float>(dim, uplo, Diag::NonUnit);
+    t.resize(static_cast<std::size_t>(n * n));
+    o.A.write(t);
+  };
+  struct Case {
+    const char* name;
+    std::function<host::Event(host::Context&, Ops&)> call;
+  };
+  const Case cases[] = {
+      {"rot",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.rot_async<float>(n, o.x, 2, o.y, 1, 0.8f, 0.6f);
+       }},
+      {"swap",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.swap_async<float>(n, o.x, 2, o.y, 1);
+       }},
+      {"scal",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.scal_async<float>(n, 1.5f, o.x, 2);
+       }},
+      {"copy",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.copy_async<float>(n, o.x, 2, o.y, 1);
+       }},
+      {"axpy",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.axpy_async<float>(n, -0.5f, o.x, 2, o.y, 1);
+       }},
+      {"gemv/N",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.gemv_async<float>(Transpose::None, m, n, 1.25f, o.A, o.x,
+                                      2, 0.5f, o.y, 1);
+       }},
+      {"gemv/T",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.gemv_async<float>(Transpose::Trans, m, n, 1.25f, o.A,
+                                      o.x, 2, 0.5f, o.y, 1);
+       }},
+      {"trsv/L",
+       [&](host::Context& ctx, Ops& o) {
+         triangular(o, n, Uplo::Lower);
+         return ctx.trsv_async<float>(Uplo::Lower, Transpose::None,
+                                      Diag::NonUnit, n, o.A, o.x, 2);
+       }},
+      {"trsv/U",
+       [&](host::Context& ctx, Ops& o) {
+         triangular(o, n, Uplo::Upper);
+         return ctx.trsv_async<float>(Uplo::Upper, Transpose::Trans,
+                                      Diag::NonUnit, n, o.A, o.x, 2);
+       }},
+      {"ger",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.ger_async<float>(m, n, 0.75f, o.x, 2, o.y, 1, o.A);
+       }},
+      {"gemm",
+       [&](host::Context& ctx, Ops& o) {
+         return ctx.gemm_async<float>(Transpose::None, Transpose::None, m, n,
+                                      k, 1.5f, o.A, o.B, 0.5f, o.C);
+       }},
+      {"trsm/L",
+       [&](host::Context& ctx, Ops& o) {
+         triangular(o, m, Uplo::Lower);
+         return ctx.trsm_async<float>(Side::Left, Uplo::Lower,
+                                      Transpose::None, Diag::NonUnit, m, n,
+                                      1.5f, o.A, o.B);
+       }},
+      {"trsm/R",
+       [&](host::Context& ctx, Ops& o) {
+         triangular(o, n, Uplo::Upper);
+         return ctx.trsm_async<float>(Side::Right, Uplo::Upper,
+                                      Transpose::Trans, Diag::NonUnit, m, n,
+                                      1.5f, o.A, o.B);
+       }},
+  };
 
-  auto run = [&](bool with_faults) {
+  auto run = [&](const Case& cs, bool with_faults) {
     host::Device dev;
     host::Context ctx(dev);
     if (with_faults) {
@@ -640,28 +722,38 @@ TEST(VerifyRuntime, AlwaysCatchesSilentCorruptionAndRecoversBitIdentical) {
     }
     ctx.set_retry_policy(fast_retry(3));
     ctx.config().verification = verify::Options::always();
-    host::Buffer<float> a(dev, m * k, 0), b(dev, k * n, 1), c(dev, m * n, 2);
-    a.write(ha);
-    b.write(hb);
-    c.write(hc);
-    host::Event e = ctx.gemm_async<float>(Transpose::None, Transpose::None,
-                                          m, n, k, 1.5f, a, b, 0.5f, c);
-    e.wait();
-    return std::make_tuple(c.to_host(), e.status(), ctx.exec_stats());
+    Workload wl(81);
+    Ops o{{dev, 2 * n, 0}, {dev, 2 * n, 1}, {dev, n * n, 0},
+          {dev, n * n, 1}, {dev, n * n, 2}};
+    o.x.write(wl.vector<float>(2 * n));
+    o.y.write(wl.vector<float>(2 * n));
+    o.A.write(wl.matrix<float>(n, n));
+    o.B.write(wl.matrix<float>(n, n));
+    o.C.write(wl.matrix<float>(n, n));
+    host::Event e = cs.call(ctx, o);
+    EXPECT_NO_THROW(e.wait());
+    return std::make_tuple(
+        std::vector<std::vector<float>>{o.x.to_host(), o.y.to_host(),
+                                        o.A.to_host(), o.B.to_host(),
+                                        o.C.to_host()},
+        e.status(), ctx.exec_stats());
   };
 
-  const auto [clean, clean_st, clean_stats] = run(false);
-  const auto [rec, rec_st, rec_stats] = run(true);
-  EXPECT_EQ(clean, rec);  // recovered, bit-identical
-  EXPECT_TRUE(rec_st.ok());
-  EXPECT_EQ(rec_st.verify_rejections, 2u);
-  EXPECT_EQ(rec_stats.faults_injected, 2u);
-  EXPECT_EQ(rec_stats.sdc_caught, 2u);
-  EXPECT_EQ(rec_stats.verify_failures, 2u);
-  EXPECT_EQ(rec_stats.retries, 2u);
-  EXPECT_EQ(rec_stats.verified, 3u);  // every attempt was checked
-  EXPECT_EQ(clean_stats.verified, 1u);
-  EXPECT_EQ(clean_stats.sdc_caught, 0u);
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(cs.name);
+    const auto [clean, clean_st, clean_stats] = run(cs, false);
+    const auto [rec, rec_st, rec_stats] = run(cs, true);
+    EXPECT_EQ(clean, rec);  // recovered, bit-identical
+    EXPECT_TRUE(rec_st.ok());
+    EXPECT_EQ(rec_st.verify_rejections, 2u);
+    EXPECT_EQ(rec_stats.faults_injected, 2u);
+    EXPECT_EQ(rec_stats.sdc_caught, rec_stats.faults_injected);
+    EXPECT_EQ(rec_stats.verify_failures, 2u);
+    EXPECT_EQ(rec_stats.retries, 2u);
+    EXPECT_EQ(rec_stats.verified, 3u);  // every attempt was checked
+    EXPECT_EQ(clean_stats.verified, 1u);
+    EXPECT_EQ(clean_stats.sdc_caught, 0u);
+  }
 }
 
 TEST(VerifyRuntime, VerifyRejectionWithoutRetryFailsTransactionally) {
@@ -822,7 +914,10 @@ TEST(VerifyRuntime, SampledVerifiesDeterministicFraction) {
 
 TEST(VerifyRuntime, AlwaysOnCleanRunNeverRejects) {
   // No-false-positive sweep: every wired routine, both precisions, with
-  // Always verification and no faults — nothing may be rejected.
+  // Always verification and no faults — nothing may be rejected. Each of
+  // the 19 checked routine calls per precision is checked exactly once;
+  // ROTM and SDSDOT have no checker and add nothing, so a descriptor that
+  // loses its checker (or gains one) changes the count.
   host::Device dev;
   host::Context ctx(dev);
   ctx.config().verification = verify::Options::always();
@@ -870,11 +965,15 @@ TEST(VerifyRuntime, AlwaysOnCleanRunNeverRejects) {
                 n, T(1.0), A, B);
     ctx.trsm<T>(Side::Right, Uplo::Upper, Transpose::Trans, Diag::NonUnit, n,
                 n, T(1.0), A, C);
+    ctx.rotm<T>(n, x, y, {T(-1), T(0.6), T(-0.8), T(0.8), T(0.6)});
+    if constexpr (std::is_same_v<T, float>) {
+      (void)ctx.sdsdot(n, 0.25f, x, y);
+    }
   };
   EXPECT_NO_THROW(sweep(float{}));
   EXPECT_NO_THROW(sweep(double{}));
   const auto stats = ctx.exec_stats();
-  EXPECT_GT(stats.verified, 30u);
+  EXPECT_EQ(stats.verified, 2u * 19u);
   EXPECT_EQ(stats.verify_failures, 0u);
   EXPECT_EQ(stats.sdc_caught, 0u);
 }

@@ -2,8 +2,10 @@
 # src/codegen every core:: module is instantiated exactly once, in the
 # per-kind module table src/host/kinds.hpp, and every Level-2/3 port
 # streamer exactly once, inside detail::read_port / detail::write_port
-# (src/host/detail.hpp). Fails, naming each offending site, when a call
-# appears anywhere else there or is missing.
+# (src/host/detail.hpp); and every routine's ABFT checker (a
+# verify::<routine>_prepare / _check, check_sum or check_rowsums call)
+# sits in its descriptor in kinds.hpp. Fails, naming each offending
+# site, when a call appears anywhere else there or is missing.
 #
 #   cmake -DSRC=<repo>/src -P tools/lint_one_lowering.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -15,7 +17,7 @@ endif()
 # SYRK has no module of its own: it runs GEMM's.
 set(modules rotg rotmg rot rotm swap scal copy axpy dot sdsdot nrm2 asum
     iamax gemv trsv ger syr syr2 gemm syr2k trsm)
-set(streamers read_a_gemm read_b_gemm store_c_triangular read_triangular)
+set(streamers read_a_gemm read_b_gemm read_triangular)
 foreach(r ${modules} ${streamers})
   set(count_${r} 0)
 endforeach()
@@ -34,6 +36,9 @@ function(function_body text sig out)
 endfunction()
 
 set(call_re "core::[a-z0-9_]+[ \t\r\n]*(<[^<>();]*>)?[ \t\r\n]*\\(")
+# A routine checker; verify::check_output (the composition output audit)
+# is not one.
+set(check_re "verify::([a-z0-9_]+_(prepare|check)|check_sum|check_rowsums)[ \t\r\n]*(<[^<>();]*>)?[ \t\r\n]*\\(")
 file(GLOB files ${SRC}/host/*.cpp ${SRC}/host/*.hpp ${SRC}/codegen/*.cpp
      ${SRC}/codegen/*.hpp)
 set(bad "")
@@ -45,6 +50,14 @@ foreach(f ${files})
     function_body("${text}" "stream::Task read_port(" reader)
     function_body("${text}" "stream::Task write_port(" writer)
     string(REGEX MATCHALL "${call_re}" ports "${reader}${writer}")
+  endif()
+  if(NOT base STREQUAL "kinds.hpp")
+    string(REGEX MATCHALL "${check_re}" checks "${text}")
+    foreach(call ${checks})
+      string(REGEX REPLACE "[ \t\r\n]*(<[^<>();]*>)?[ \t\r\n]*\\($" "("
+             call "${call}")
+      string(APPEND bad "\n  ${f}: ${call} outside a kinds.hpp descriptor")
+    endforeach()
   endif()
   string(REGEX MATCHALL "${call_re}" calls "${text}")
   foreach(call ${calls})
@@ -80,8 +93,8 @@ foreach(r ${modules} ${streamers})
 endforeach()
 
 if(bad)
-  message(FATAL_ERROR "routine modules or streamers lowered outside "
+  message(FATAL_ERROR "routine modules, streamers or checkers outside "
                       "host/kinds.hpp and detail::read_port/write_port:${bad}")
 endif()
-message(STATUS "lint_one_lowering: each module and port streamer has one "
-               "lowering")
+message(STATUS "lint_one_lowering: each module, port streamer and checker "
+               "has one lowering")
